@@ -27,7 +27,6 @@
      e18  concurrent front door: admission, shedding, degradation
      e19  TCP serving layer: mixed-priority storms, quotas, drain
      e20  semantic result cache + incremental Datalog maintenance
-     e21  work-stealing pool backend vs shared FIFO queue
      e22  durability: WAL append throughput + crash-recovery time
      e23  streaming serving v2: writer memory + byte-fairness tails
      e24  sharded scatter/gather: fleet speedup + hedged tail latency
@@ -36,8 +35,8 @@
      --json      write e15 to BENCH_PR1.json, e16 to BENCH_PR2.json,
                  e17 to BENCH_PR3.json, e18 to BENCH_PR4.json,
                  e19 to BENCH_PR5.json, e20 to BENCH_PR6.json,
-                 e21 to BENCH_PR7.json, e22 to BENCH_PR8.json,
-                 e23 to BENCH_PR9.json and e24 to BENCH_PR10.json
+                 e22 to BENCH_PR8.json, e23 to BENCH_PR9.json and
+                 e24 to BENCH_PR10.json
      --seed N    offset every workload generator seed by N
      --small     shrink e16-e24 workloads for CI smoke runs *)
 
@@ -2196,207 +2195,6 @@ let write_e20_json path =
     (List.length grid + List.length incr)
 
 (* ------------------------------------------------------------------ *)
-(* E21: work-stealing scheduler vs the shared FIFO queue               *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 7 (DESIGN.md §4h): the pool gained a work-stealing backend so
-   nested parallel sections fan out instead of degrading to sequential.
-   Four workloads — the nested shape that motivated stealing plus the
-   three straggler paths the PR parallelised:
-
-     nested-datalog-tc   each rule firing plans and runs a join from
-                         inside a pool worker; under Fifo the inner
-                         joins degrade to sequential, under Steal the
-                         blocked parent helps and thieves pick up the
-                         inner chunks.
-     chase-fds           per-round quadratic FD-violation scans,
-                         chunked by outer-tuple range.
-     ceval-all           the four c-table strategies evaluated in
-                         parallel, each with per-operator parallel
-                         loops nested inside its strategy task.
-     bag-bounds          box/diamond canonical-world multiplicity
-                         sweeps, one task per world.
-
-   Each case serialises its canonical answer with [Marshal.No_sharing]
-   so runs compare literally bit-for-bit: chunk merges preserve input
-   order on both backends, so scheduling must be invisible in the
-   answers.  Steal counts come from [Pool.stats] and are zero under
-   fifo by construction. *)
-
-let e21_results :
-    (string * string * int * float * float * bool * int) list ref =
-  ref []
-
-let e21_cases () =
-  let case label canon =
-    (label, fun pool -> Marshal.to_string (canon pool) [ Marshal.No_sharing ])
-  in
-  (* nested Datalog TC: e16's shape with its own seed *)
-  let tc_nodes = if !bench_small then 30 else 100 in
-  let tc_db =
-    let rng = rng_of 21100 in
-    let next_null = ref 0 in
-    let edges =
-      List.init (2 * tc_nodes) (fun _ ->
-          let v () =
-            if Random.State.float rng 1.0 < 0.1 then begin
-              let l = !next_null in
-              incr next_null;
-              Value.null l
-            end
-            else Value.int (Random.State.int rng tc_nodes)
-          in
-          Tuple.of_list [ v (); v () ])
-    in
-    Database.of_list (Schema.of_list [ ("edge", [ "s"; "d" ]) ])
-      [ ("edge", edges) ]
-  in
-  let tc = Datalog.Eval.transitive_closure ~edge:"edge" ~path:"path" in
-  (* chase: colliding FD lhs over all-distinct-null rhs, so every round
-     finds a violation, merges a null pair and rescans quadratically *)
-  let chase_rows = if !bench_small then 60 else 240 in
-  let chase_db =
-    let rng = rng_of 21200 in
-    let r_rows =
-      List.init chase_rows (fun i ->
-          Tuple.of_list [ Value.int (Random.State.int rng 8); Value.null i ])
-    in
-    let s_rows =
-      List.init chase_rows (fun i ->
-          Tuple.of_list [ Value.int i; Value.int (i mod 7) ])
-    in
-    Database.of_list e2_schema [ ("R", r_rows); ("S", s_rows) ]
-  in
-  let chase_fds =
-    Prob.Constraints.fds [ Prob.Constraints.fd "R" [ 0 ] [ 1 ] ]
-  in
-  let chase_canon = function
-    | Prob.Chase.Chased (db, subst) ->
-      Some
-        (Database.fold
-           (fun name rel acc -> (name, Relation.to_list rel) :: acc)
-           db [],
-         subst)
-    | Prob.Chase.Failed -> None
-  in
-  (* ceval: a selected product, quadratic in conditional tuples, under
-     all four strategies at once (cutoff 0 forces the inner chunking) *)
-  let ceval_rows = if !bench_small then 40 else 120 in
-  let ceval_db = e2_db (rng_of 21300) ~rows:ceval_rows ~null_rate:0.15 in
-  let ceval_q =
-    Algebra.Select
-      (Condition.eq_col 1 2, Algebra.Product (Algebra.Rel "R", Algebra.Rel "S"))
-  in
-  (* bag bounds: a handful of nulls over a 4-constant pool, so the
-     canonical-world sweep is the whole cost *)
-  let bag_nulls = if !bench_small then 3 else 4 in
-  let bag_db =
-    let rng = rng_of 21400 in
-    let const () = Value.int (Random.State.int rng 4) in
-    let tuple _ = Tuple.of_list [ const (); const () ] in
-    let with_nulls =
-      List.init bag_nulls (fun i -> Tuple.of_list [ Value.null i; const () ])
-    in
-    Database.of_list e2_schema
-      [ ("R", List.init 10 tuple @ with_nulls); ("S", List.init 10 tuple) ]
-  in
-  let bag_q =
-    Algebra.Project ([ 0 ], Algebra.Product (Algebra.Rel "R", Algebra.Rel "S"))
-  in
-  let bag_probes = List.init 4 (fun i -> Tuple.of_list [ Value.int i ]) in
-  [ case (Printf.sprintf "nested-datalog-tc-%d" tc_nodes) (fun pool ->
-        Relation.to_list (Datalog.Eval.run ~pool tc_db tc "path"));
-    case (Printf.sprintf "chase-fds-%d" chase_rows) (fun pool ->
-        chase_canon (Prob.Chase.chase_fds ~pool chase_db chase_fds));
-    case (Printf.sprintf "ceval-all-%d" ceval_rows) (fun pool ->
-        List.map
-          (fun (s, ct) ->
-            (Ctables.Ceval.strategy_name s, Ctables.Ctable.to_list ct))
-          (Ctables.Ceval.eval_all ~pool ~cutoff:0 ceval_db ceval_q));
-    case (Printf.sprintf "bag-bounds-%d-nulls" bag_nulls) (fun pool ->
-        List.map
-          (fun t ->
-            (Bag_bounds.box ~pool bag_db bag_q t,
-             Bag_bounds.diamond ~pool bag_db bag_q t))
-          bag_probes) ]
-
-let exp_e21 () =
-  hr "E21: work-stealing scheduler vs shared FIFO queue";
-  Printf.printf
-    "host: %d recommended domain(s).  Cutoffs are forced low so nested\n\
-     sections actually submit parallel chunks; on a small machine the\n\
-     extra domains time-share cores, and the meaningful signal there is\n\
-     identical=true plus non-zero steal counts, not wall-clock speedup.\n\n"
-    (Domain.recommended_domain_count ());
-  let saved_scan = !Pool.scan_cutoff and saved_join = !Pool.join_cutoff in
-  Pool.scan_cutoff := 64;
-  Pool.join_cutoff := 64;
-  let sizes = if !bench_small then [ 2; 4 ] else [ 1; 2; 4; 8 ] in
-  Printf.printf "%-24s %7s %5s %12s %12s %9s %7s %10s\n" "workload" "backend"
-    "size" "parallel(ms)" "seq(ms)" "speedup" "steals" "identical";
-  List.iter
-    (fun (label, run) ->
-      let seq_result, seq_ms = time_ms (fun () -> run None) in
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun d ->
-              let pool = Pool.create ~backend ~size:d () in
-              let par_result, par_ms = time_ms (fun () -> run (Some pool)) in
-              let st = Pool.stats pool in
-              Pool.shutdown pool;
-              let identical = par_result = seq_result in
-              let bname = Pool.backend_name backend in
-              e21_results :=
-                (label, bname, d, par_ms, seq_ms, identical, st.Pool.steals)
-                :: !e21_results;
-              Printf.printf "%-24s %7s %5d %12.2f %12.2f %8.2fx %7d %10b\n"
-                label bname d par_ms seq_ms
-                (seq_ms /. max par_ms 0.001)
-                st.Pool.steals identical)
-            sizes)
-        [ Pool.Fifo; Pool.Steal ])
-    (e21_cases ());
-  Pool.scan_cutoff := saved_scan;
-  Pool.join_cutoff := saved_join;
-  Printf.printf
-    "\nEvery row must report identical=true: chunk merges preserve input\n\
-     order on both backends, so the scheduler is invisible in answers.\n\
-     steal rows should beat or match fifo rows; the gap is widest on the\n\
-     nested Datalog workload, which fifo serialises from the inside.\n"
-
-let write_e21_json path =
-  let rows = List.rev !e21_results in
-  let n = List.length rows in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiment\": \"e21\",\n";
-  Buffer.add_string buf
-    "  \"description\": \"work-stealing pool backend vs shared FIFO queue \
-     on the nested Datalog workload and the three straggler paths \
-     (chase scans, c-table strategies, bag-bound world sweeps)\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (label, backend, size, par, seq, identical, steals) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"label\": \"%s\", \"backend\": \"%s\", \"size\": %d, \
-            \"parallel_ms\": %.3f, \"sequential_ms\": %.3f, \
-            \"speedup\": %.2f, \"steals\": %d, \"identical\": %b}%s\n"
-           label backend size par seq
-           (seq /. max par 0.001)
-           steals identical
-           (if i = n - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\nwrote %s (%d measurements)\n" path n
-
-(* ------------------------------------------------------------------ *)
 (* E22: durability — WAL append throughput and recovery time           *)
 (* ------------------------------------------------------------------ *)
 
@@ -3254,7 +3052,7 @@ let experiments =
     ("e9", exp_e9); ("e10", exp_e10); ("e11", exp_e11); ("e12", exp_e12);
     ("e13", exp_e13); ("e14", exp_e14); ("e15", exp_e15); ("e16", exp_e16);
     ("e17", exp_e17); ("e18", exp_e18); ("e19", exp_e19); ("e20", exp_e20);
-    ("e21", exp_e21); ("e22", exp_e22); ("e23", exp_e23); ("e24", exp_e24);
+    ("e22", exp_e22); ("e23", exp_e23); ("e24", exp_e24);
     ("micro", micro) ]
 
 let () =
@@ -3303,7 +3101,6 @@ let () =
     write_e20_json "BENCH_PR6.json";
   if !json && (!e22_append <> [] || !e22_recovery <> []) then
     write_e22_json "BENCH_PR8.json";
-  if !json && !e21_results <> [] then write_e21_json "BENCH_PR7.json";
   if !json && (!e23_memory <> [] || !e23_fairness <> []) then
     write_e23_json "BENCH_PR9.json";
   if !json && (!e24_speedup <> [] || !e24_hedging <> []) then

@@ -3,10 +3,10 @@ type merge = [ `Sum | `Collapse ]
 (* One world's multiplicity per canonical valuation — embarrassingly
    parallel: each world evaluates independently and the list order (and
    so the min/max below) matches the sequential scan, making the sweep
-   bit-identical on every pool size and backend.  [~cutoff:1] because a
-   single world is already exponential work; [Bag_eval.run] takes its
-   own default pool, so under the work-stealing backend the per-world
-   joins fan out inside the sweep instead of degrading. *)
+   bit-identical on every pool size.  [~cutoff:1] because a single
+   world is already exponential work; [Bag_eval.run] takes its own
+   default pool, and its per-world joins run sequentially inside the
+   sweep's chunks. *)
 let world_multiplicities ?(pool = Pool.auto ()) ?guard ~merge db q tuple =
   let query_consts = Algebra.consts q in
   let worlds = Certainty.canonical_worlds ~query_consts db in

@@ -24,8 +24,8 @@ type merge = [ `Sum | `Collapse ]
     [pool] (default {!Pool.auto}) spreads the per-world multiplicity
     sweep across the pool — one task per canonical valuation, results
     recombined in enumeration order, so the bounds are bit-identical to
-    [~pool:None] on every pool size and backend.  [guard] is checked at
-    every chunk boundary and inside each world's bag evaluation.
+    [~pool:None] on every pool size.  [guard] is checked at every chunk
+    boundary and inside each world's bag evaluation.
     @raise Bag_eval.Unsupported on division. *)
 val box :
   ?pool:Pool.t option -> ?guard:Guard.t -> ?merge:merge ->

@@ -72,9 +72,9 @@ let charge guard n = match guard with None -> () | Some g -> charge_exn g n
 (* ------------------------------------------------------------------ *)
 
 (* One warn-once parser shared by every INCDB_* knob (INCDB_DOMAINS,
-   INCDB_POOL, INCDB_FAULT, INCDB_FSYNC, ...), so each unparseable
-   value warns exactly once per process no matter how many times the
-   knob is consulted. *)
+   INCDB_FAULT, INCDB_FSYNC, ...), so each unparseable value warns
+   exactly once per process no matter how many times the knob is
+   consulted. *)
 let knob_lock = Mutex.create ()
 let warned_knobs : (string, unit) Hashtbl.t = Hashtbl.create 4
 

@@ -69,7 +69,7 @@ val charge_exn : t -> int -> unit
 (** {1 Environment knobs}
 
     One warn-once parser behind every [INCDB_*] environment knob
-    ([INCDB_DOMAINS], [INCDB_POOL], [INCDB_FAULT], [INCDB_FSYNC]).
+    ([INCDB_DOMAINS], [INCDB_FAULT], [INCDB_FSYNC]).
     [env_knob ~name ~expected ~fallback ~parse ~default ()] reads
     [name] from the environment; an unset knob yields [default ()], a
     parseable one yields the parsed value, and an unparseable one warns
@@ -96,14 +96,9 @@ val env_knob :
     {!set_faults}.
 
     Sites currently instrumented:
-    - ["pool.chunk"] — every chunk executed by {!Pool.run_chunks} (all
-      parallel operators and combinators pass through it);
-    - ["pool.steal"] — the top of every steal sweep of the
-      work-stealing pool backend: a raise-mode fault abandons the
-      attempt before any victim deque is touched — the thief retries
-      or parks and the task is never lost (it stays queued for its
-      owner or another thief) — and a delay-mode fault stalls the
-      thief.  No-op on the Fifo backend, which never steals;
+    - ["pool.chunk"] — every chunk executed by {!Pool.run_chunks},
+      a lone chunk included (all parallel operators and combinators
+      pass through it);
     - ["datalog.round"] — the top of every semi-naive round of
       [Incdb_datalog.Eval] (including the initial EDB round);
     - ["chase.round"] — every round of [Incdb_prob.Chase.chase_fds];

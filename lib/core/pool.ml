@@ -1,238 +1,64 @@
-(* Two interchangeable execution backends behind one Pool signature
-   (DESIGN.md §4c and §4h):
-
-   - [Fifo]: the original shared Mutex+Condition FIFO queue.  Nested
-     combinators entered from inside a chunk degrade to sequential via
-     the DLS worker flag, which keeps the backend deadlock-free (chunks
-     never block on other chunks).
-   - [Steal] (default): a work-stealing scheduler.  Every worker owns a
-     deque — the owner pushes and pops LIFO at the bottom, thieves
-     steal half FIFO from the top — idle workers park on a condition
-     variable instead of spinning, and a parent blocked in [run_chunks]
-     *helps*: it executes its own children from its deque, steals from
-     others, and only then waits on the job condition.  Nested
-     parallel sections therefore fan out instead of degrading.
-
-   [INCDB_POOL=fifo|steal] selects the backend used by [create] and
-   [auto] (steal when unset); every differential suite runs under both. *)
-
-type backend = Fifo | Steal
+(* A fixed pool of worker domains over one shared Mutex+Condition FIFO
+   queue (DESIGN.md §4c).  A combinator entered from inside a chunk
+   runs sequentially (the DLS worker flag below), which keeps the pool
+   deadlock-free: chunks never block on other chunks. *)
 
 type task = unit -> unit
 
 (* Set for the duration of every chunk, on whichever domain executes
-   it.  Under [Fifo] it is also the degradation signal for nested
-   combinators; under [Steal] nesting is allowed, and the flag survives
-   only so that guard attribution and fault-injection draws keep seeing
-   the same "am I inside a pool task" answer on both backends. *)
+   it: the degradation signal for nested combinators, and the "am I
+   inside a pool task" answer that guard attribution and fault
+   injection draws rely on. *)
 let worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let in_worker () = Domain.DLS.get worker_key
 
+(* [f ()] with the worker flag raised, restored afterwards *)
+let as_worker f =
+  let was_worker = Domain.DLS.get worker_key in
+  Domain.DLS.set worker_key true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set worker_key was_worker) f
+
 let scan_cutoff = ref 2048
 let join_cutoff = ref 1024
-
-(* Steal-latency histogram: one bucket per decade of elapsed seconds
-   from the top of a steal sweep to acquisition of the stolen tasks.
-   Bucket upper bounds: 1µs, 10µs, 100µs, 1ms, 10ms, ∞.  Only the
-   steal backend's successful sweeps are timed; the fifo backend never
-   touches the array. *)
-let hist_buckets = 6
-
-let hist_bucket dt =
-  if dt < 1e-6 then 0
-  else if dt < 1e-5 then 1
-  else if dt < 1e-4 then 2
-  else if dt < 1e-3 then 3
-  else if dt < 1e-2 then 4
-  else 5
-
-type counters = {
-  c_tasks : int Atomic.t;
-  c_steals : int Atomic.t;
-  c_failed_steals : int Atomic.t;
-  c_parks : int Atomic.t;
-  c_steal_hist : int Atomic.t array;
-}
-
-let new_counters () =
-  { c_tasks = Atomic.make 0;
-    c_steals = Atomic.make 0;
-    c_failed_steals = Atomic.make 0;
-    c_parks = Atomic.make 0;
-    c_steal_hist = Array.init hist_buckets (fun _ -> Atomic.make 0) }
 
 type stats = {
   tasks : int;
   steals : int;
   failed_steals : int;
   parks : int;
-  steal_hist : int array;
 }
 
-(* ------------------------------------------------------------------ *)
-(* deques (steal backend)                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* A Chase-Lev-shaped deque: owner pushes/pops LIFO at the bottom
-   ([tail]), thieves take FIFO halves from the top ([head]).  The
-   stdlib has no atomic arrays, so instead of hand-rolling the
-   Chase-Lev memory-order subtleties we keep the shape and protect
-   each deque with its own mutex: contention is per-deque (the owner's
-   fast path is an almost-always-uncontended lock), not per-pool. *)
-
-let dummy_task : task = fun () -> ()
-
-type deque = {
-  mutable cells : task array;  (* circular, capacity a power of two *)
-  mutable head : int;  (* absolute index of the oldest task *)
-  mutable tail : int;  (* absolute index one past the newest task *)
-  dlock : Mutex.t;
+type t = {
+  size : int;
+  queue : task Queue.t;
+  lock : Mutex.t;
+  work : Condition.t;
+  mutable stopped : bool;
+  mutable workers : unit Domain.t array;
+  n_tasks : int Atomic.t;
+  n_parks : int Atomic.t;
 }
-
-let deque_create () =
-  { cells = Array.make 16 dummy_task; head = 0; tail = 0;
-    dlock = Mutex.create () }
-
-(* requires [dlock] held *)
-let deque_grow d =
-  let n = Array.length d.cells in
-  let cells = Array.make (2 * n) dummy_task in
-  for i = d.head to d.tail - 1 do
-    cells.(i land ((2 * n) - 1)) <- d.cells.(i land (n - 1))
-  done;
-  d.cells <- cells
-
-let deque_push d t =
-  Mutex.lock d.dlock;
-  if d.tail - d.head = Array.length d.cells then deque_grow d;
-  d.cells.(d.tail land (Array.length d.cells - 1)) <- t;
-  d.tail <- d.tail + 1;
-  Mutex.unlock d.dlock
-
-(* owner side: newest first *)
-let deque_pop d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.tail = d.head then None
-    else begin
-      d.tail <- d.tail - 1;
-      let idx = d.tail land (Array.length d.cells - 1) in
-      let t = d.cells.(idx) in
-      d.cells.(idx) <- dummy_task;
-      Some t
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
-
-(* thief side: take ceil(size/2) tasks from the top, oldest first *)
-let deque_steal_half d =
-  Mutex.lock d.dlock;
-  let size = d.tail - d.head in
-  let r =
-    if size = 0 then []
-    else begin
-      let k = (size + 1) / 2 in
-      let mask = Array.length d.cells - 1 in
-      let out =
-        List.init k (fun i ->
-            let idx = (d.head + i) land mask in
-            let t = d.cells.(idx) in
-            d.cells.(idx) <- dummy_task;
-            t)
-      in
-      d.head <- d.head + k;
-      out
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
-
-let deque_nonempty d =
-  Mutex.lock d.dlock;
-  let r = d.tail > d.head in
-  Mutex.unlock d.dlock;
-  r
-
-(* ------------------------------------------------------------------ *)
-(* pool types                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type fifo = {
-  f_queue : task Queue.t;
-  f_lock : Mutex.t;
-  f_work : Condition.t;
-  mutable f_stopped : bool;
-  mutable f_workers : unit Domain.t array;
-  f_ctr : counters;
-}
-
-type spool = {
-  deques : deque array;  (* one per worker domain: indices 0..size-2 *)
-  inbox : deque;  (* chunks submitted by domains outside the pool *)
-  all_deques : deque array;  (* deques + inbox, the steal victims *)
-  park_lock : Mutex.t;
-  park_cond : Condition.t;
-  mutable wakeups : int;  (* pending wake tokens, under [park_lock] *)
-  parked : int Atomic.t;
-  s_stopped : bool Atomic.t;
-  mutable s_workers : unit Domain.t array;
-  s_ctr : counters;
-}
-
-type impl = Fifo_impl of fifo | Steal_impl of spool
-
-type t = { size : int; impl : impl }
 
 let size pool = pool.size
 
-let backend pool =
-  match pool.impl with Fifo_impl _ -> Fifo | Steal_impl _ -> Steal
+(* the only scheduler, named for the benchmark's host stamp *)
+type backend = Fifo
 
-let backend_name = function Fifo -> "fifo" | Steal -> "steal"
+let backend_name Fifo = "fifo"
 
-let counters_of pool =
-  match pool.impl with Fifo_impl f -> f.f_ctr | Steal_impl s -> s.s_ctr
+let default_backend () = Fifo
 
 let stats pool =
-  let c = counters_of pool in
-  { tasks = Atomic.get c.c_tasks;
-    steals = Atomic.get c.c_steals;
-    failed_steals = Atomic.get c.c_failed_steals;
-    parks = Atomic.get c.c_parks;
-    steal_hist = Array.map Atomic.get c.c_steal_hist }
-
-let steal_hist_line h =
-  Printf.sprintf "steal_lat=%d/%d/%d/%d/%d/%d"
-    h.(0) h.(1) h.(2) h.(3) h.(4) h.(5)
+  { tasks = Atomic.get pool.n_tasks;
+    steals = 0;
+    failed_steals = 0;
+    parks = Atomic.get pool.n_parks }
 
 let stats_line pool =
-  let s = stats pool in
-  let base =
-    Printf.sprintf
-      "pool backend=%s size=%d tasks=%d steals=%d failed_steals=%d parks=%d"
-      (backend_name (backend pool))
-      pool.size s.tasks s.steals s.failed_steals s.parks
-  in
-  (* latency buckets (<1us/<10us/<100us/<1ms/<10ms/rest) only make
-     sense where steals happen *)
-  match backend pool with
-  | Fifo -> base
-  | Steal -> base ^ " " ^ steal_hist_line s.steal_hist
-
-(* Under [Fifo] any nested entry degrades to sequential (the
-   deadlock-freedom argument needs chunks to never block on other
-   chunks); under [Steal] a nested section pushes onto the local deque
-   and the parent helps, so nesting fans out instead. *)
-let nested_sequential pool =
-  match pool.impl with
-  | Fifo_impl _ -> in_worker ()
-  | Steal_impl _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* environment knobs                                                   *)
-(* ------------------------------------------------------------------ *)
+  Printf.sprintf
+    "pool backend=fifo size=%d tasks=%d steals=0 failed_steals=0 parks=%d"
+    pool.size (Atomic.get pool.n_tasks) (Atomic.get pool.n_parks)
 
 let domains_of_string s =
   match int_of_string_opt (String.trim s) with
@@ -244,38 +70,38 @@ let default_size () =
     ~fallback:"recommended_domain_count" ~parse:domains_of_string
     ~default:Domain.recommended_domain_count ()
 
-let backend_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "fifo" -> Some Fifo
-  | "steal" -> Some Steal
-  | _ -> None
-
-let default_backend () =
-  Guard.env_knob ~name:"INCDB_POOL" ~expected:"\"fifo\" or \"steal\""
-    ~fallback:"steal" ~parse:backend_of_string
-    ~default:(fun () -> Steal) ()
-
 (* ------------------------------------------------------------------ *)
-(* fifo backend                                                        *)
+(* create / shutdown / auto                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fifo_worker_loop f () =
+(* run queued tasks on the calling domain until the queue is empty *)
+let rec drain pool =
+  Mutex.lock pool.lock;
+  let task = Queue.take_opt pool.queue in
+  Mutex.unlock pool.lock;
+  match task with
+  | Some task ->
+    task ();
+    drain pool
+  | None -> ()
+
+let worker_loop pool () =
   Domain.DLS.set worker_key true;
   let rec next () =
-    Mutex.lock f.f_lock;
+    Mutex.lock pool.lock;
     let rec obtain () =
-      match Queue.take_opt f.f_queue with
+      match Queue.take_opt pool.queue with
       | Some task ->
-        Mutex.unlock f.f_lock;
+        Mutex.unlock pool.lock;
         Some task
       | None ->
-        if f.f_stopped then begin
-          Mutex.unlock f.f_lock;
+        if pool.stopped then begin
+          Mutex.unlock pool.lock;
           None
         end
         else begin
-          Atomic.incr f.f_ctr.c_parks;
-          Condition.wait f.f_work f.f_lock;
+          Atomic.incr pool.n_parks;
+          Condition.wait pool.work pool.lock;
           obtain ()
         end
     in
@@ -287,254 +113,41 @@ let fifo_worker_loop f () =
   in
   next ()
 
-let fifo_create ~size =
-  let f =
-    { f_queue = Queue.create ();
-      f_lock = Mutex.create ();
-      f_work = Condition.create ();
-      f_stopped = false;
-      f_workers = [||];
-      f_ctr = new_counters () }
+let create ?size () =
+  let size =
+    max 1 (match size with Some n -> n | None -> default_size ())
   in
-  f.f_workers <- Array.init (size - 1) (fun _ -> Domain.spawn (fifo_worker_loop f));
-  f
+  let pool =
+    { size;
+      queue = Queue.create ();
+      lock = Mutex.create ();
+      work = Condition.create ();
+      stopped = false;
+      workers = [||];
+      n_tasks = Atomic.make 0;
+      n_parks = Atomic.make 0 }
+  in
+  pool.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (worker_loop pool));
+  pool
 
-let fifo_shutdown f =
+let shutdown pool =
   let workers =
-    Mutex.lock f.f_lock;
-    let ws = f.f_workers in
-    f.f_workers <- [||];
-    f.f_stopped <- true;
-    Condition.broadcast f.f_work;
-    Mutex.unlock f.f_lock;
+    Mutex.lock pool.lock;
+    let ws = pool.workers in
+    pool.workers <- [||];
+    pool.stopped <- true;
+    Condition.broadcast pool.work;
+    Mutex.unlock pool.lock;
     ws
   in
   (* Execute anything still queued on the shutdown caller.  Workers also
      drain the queue before exiting, but a size-1 pool has no workers,
-     and tasks racing in after [f_stopped] was set would otherwise be
+     and tasks racing in after [stopped] was set would otherwise be
      dropped silently — leaving their [run_chunks] blocked on [job_done]
      forever.  Tasks record their own exceptions, so draining never
      throws. *)
-  let rec drain () =
-    Mutex.lock f.f_lock;
-    let task = Queue.take_opt f.f_queue in
-    Mutex.unlock f.f_lock;
-    match task with
-    | Some task ->
-      task ();
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  drain pool;
   Array.iter Domain.join workers
-
-(* ------------------------------------------------------------------ *)
-(* steal backend                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* which steal pool the current domain is a dedicated worker of (and
-   its deque index); [None] on every other domain *)
-let self_key : (spool * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-(* cheap per-domain LCG for the randomized steal order: victim choice
-   needs no statistical quality, only decorrelation between thieves *)
-let rng_key : int Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      (((Domain.self () :> int) + 1) * 0x9E3779B1) lor 1)
-
-let next_rand () =
-  let x = Domain.DLS.get rng_key in
-  let x = (x * 0x2545F4914F6CDD1D) + 0x9E3779B9 in
-  Domain.DLS.set rng_key x;
-  (x lsr 17) land max_int
-
-(* the deque the current domain pushes its own chunks to: a dedicated
-   worker uses its deque, everyone else the shared inbox *)
-let my_deque s =
-  match Domain.DLS.get self_key with
-  | Some (s', i) when s' == s -> s.deques.(i)
-  | Some _ | None -> s.inbox
-
-(* locked scan: used on the park and shutdown slow paths only *)
-let has_work s = Array.exists deque_nonempty s.all_deques
-
-(* issue [n] wake tokens if anyone is parked.  The token counter under
-   [park_lock] closes the lost-wakeup race: a worker registers in
-   [parked] (an SC atomic) before its final locked re-scan of the
-   deques, and a pusher publishes under the deque lock before reading
-   [parked] — one of the two always sees the other. *)
-let wake s n =
-  if n > 0 && Atomic.get s.parked > 0 then begin
-    Mutex.lock s.park_lock;
-    s.wakeups <- s.wakeups + n;
-    if n = 1 then Condition.signal s.park_cond
-    else Condition.broadcast s.park_cond;
-    Mutex.unlock s.park_lock
-  end
-
-(* One randomized sweep over every other deque.  On success the oldest
-   stolen task is returned to run immediately and the rest of the
-   steal-half go to [mine] (re-stealable by others).  The "pool.steal"
-   fault site fires at the top of the sweep: a raise-mode fault
-   abandons the attempt before any victim is touched — the thief
-   retries or parks, no task is ever lost — and a delay-mode fault
-   stalls the thief. *)
-let try_steal s mine =
-  match Guard.inject "pool.steal" with
-  | exception Guard.Injected _ ->
-    Atomic.incr s.s_ctr.c_failed_steals;
-    None
-  | () ->
-    let t0 = Unix.gettimeofday () in
-    let n = Array.length s.all_deques in
-    let start = next_rand () mod n in
-    let rec go i =
-      if i >= n then begin
-        Atomic.incr s.s_ctr.c_failed_steals;
-        None
-      end
-      else begin
-        let v = s.all_deques.((start + i) mod n) in
-        if v == mine then go (i + 1)
-        else
-          match deque_steal_half v with
-          | [] -> go (i + 1)
-          | t :: rest ->
-            Atomic.incr s.s_ctr.c_steals;
-            (* sweep-entry → acquisition: how long this thief hunted
-               (victim scan + deque lock waits) before finding work *)
-            let b = hist_bucket (Unix.gettimeofday () -. t0) in
-            Atomic.incr s.s_ctr.c_steal_hist.(b);
-            List.iter (deque_push mine) rest;
-            if rest <> [] then wake s (List.length rest);
-            Some t
-      end
-    in
-    go 0
-
-let park s =
-  Mutex.lock s.park_lock;
-  Atomic.incr s.parked;
-  (* re-scan with the registration visible: any pusher that missed our
-     [parked] increment published its task before we scan here *)
-  if Atomic.get s.s_stopped || has_work s then begin
-    Atomic.decr s.parked;
-    Mutex.unlock s.park_lock
-  end
-  else begin
-    Atomic.incr s.s_ctr.c_parks;
-    while s.wakeups = 0 && not (Atomic.get s.s_stopped) do
-      Condition.wait s.park_cond s.park_lock
-    done;
-    if s.wakeups > 0 then s.wakeups <- s.wakeups - 1;
-    Atomic.decr s.parked;
-    Mutex.unlock s.park_lock
-  end
-
-let steal_worker_loop s i () =
-  Domain.DLS.set worker_key true;
-  Domain.DLS.set self_key (Some (s, i));
-  let mine = s.deques.(i) in
-  let rec loop () =
-    match deque_pop mine with
-    | Some t ->
-      t ();
-      loop ()
-    | None ->
-      (match try_steal s mine with
-       | Some t ->
-         t ();
-         loop ()
-       | None ->
-         if Atomic.get s.s_stopped then begin
-           (* drain before joining: exit only once nothing is queued
-              anywhere (failed steals here can be fault-injected, so
-              re-scan rather than trust one sweep) *)
-           if has_work s then begin
-             Domain.cpu_relax ();
-             loop ()
-           end
-         end
-         else begin
-           park s;
-           loop ()
-         end)
-  in
-  loop ()
-
-let steal_create ~size =
-  let deques = Array.init (size - 1) (fun _ -> deque_create ()) in
-  let inbox = deque_create () in
-  let s =
-    { deques;
-      inbox;
-      all_deques = Array.append deques [| inbox |];
-      park_lock = Mutex.create ();
-      park_cond = Condition.create ();
-      wakeups = 0;
-      parked = Atomic.make 0;
-      s_stopped = Atomic.make false;
-      s_workers = [||];
-      s_ctr = new_counters () }
-  in
-  s.s_workers <-
-    Array.init (size - 1) (fun i -> Domain.spawn (steal_worker_loop s i));
-  s
-
-let steal_shutdown s =
-  let workers =
-    Mutex.lock s.park_lock;
-    let ws = s.s_workers in
-    s.s_workers <- [||];
-    Atomic.set s.s_stopped true;
-    Condition.broadcast s.park_cond;
-    Mutex.unlock s.park_lock;
-    ws
-  in
-  (* Drain queued-but-unstolen tasks before joining: exiting workers
-     drain too, but a size-1 pool has no workers, and raise-mode
-     "pool.steal" faults can starve a worker's sweeps.  Tasks record
-     their own exceptions, so draining never throws; a drained task may
-     push nested children, hence the re-scan. *)
-  let rec drain_deque d =
-    match deque_pop d with
-    | Some t ->
-      t ();
-      drain_deque d
-    | None -> ()
-  in
-  let rec drain_all () =
-    Array.iter drain_deque s.all_deques;
-    if has_work s then drain_all ()
-  in
-  drain_all ();
-  Array.iter Domain.join workers;
-  (* tasks pushed by a submission that raced the stop flag *)
-  drain_all ()
-
-(* ------------------------------------------------------------------ *)
-(* create / shutdown / auto                                            *)
-(* ------------------------------------------------------------------ *)
-
-let create ?backend ?size () =
-  let size =
-    max 1 (match size with Some n -> n | None -> default_size ())
-  in
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  let impl =
-    match backend with
-    | Fifo -> Fifo_impl (fifo_create ~size)
-    | Steal -> Steal_impl (steal_create ~size)
-  in
-  { size; impl }
-
-let shutdown pool =
-  match pool.impl with
-  | Fifo_impl f -> fifo_shutdown f
-  | Steal_impl s -> steal_shutdown s
 
 (* the process-wide pool behind [auto]; protected because workers of an
    outer parallel section may race to it through default arguments *)
@@ -570,149 +183,62 @@ let chunk_bounds len n i =
   let lo = (i * base) + min i rem in
   (lo, lo + base + (if i < rem then 1 else 0))
 
-(* The per-chunk execution wrapper shared by both backends.  Chunks run
-   with the worker flag raised no matter which domain executes them:
-   pool workers set it once for their lifetime, but a chunk can also
-   run on the submitting caller (chunk 0, the help loop) or on a
-   service worker that picked it up from inside a query envelope.  The
-   flag is saved and restored, so the caller's own next top-level
-   submission (e.g. a retried query) is unaffected.  Under [Fifo] the
-   flag is what degrades nested combinators; under [Steal] it only
-   keeps guard attribution and fault-injection draws identical across
-   backends. *)
-let make_exec ~ctr ~guard ~job_lock ~job_done ~remaining ~first_exn run i =
-  Atomic.incr ctr.c_tasks;
-  let was_worker = Domain.DLS.get worker_key in
-  Domain.DLS.set worker_key true;
-  (try
-     Guard.check guard;
-     Guard.inject "pool.chunk";
-     run i
-   with e ->
-     Mutex.lock job_lock;
-     (* [Option.is_none], not [= None]: polymorphic comparison of an
-        option holding an exception can itself raise when the
-        exception carries closures *)
-     if Option.is_none !first_exn then first_exn := Some e;
-     Mutex.unlock job_lock);
-  Domain.DLS.set worker_key was_worker;
-  Mutex.lock job_lock;
-  decr remaining;
-  (* broadcast on every completion, not just the last: a steal-backend
-     parent waiting in its help loop re-scans the deques on wakeup and
-     may pick up nested children pushed by this chunk *)
-  Condition.broadcast job_done;
-  Mutex.unlock job_lock
-
-let fifo_run_chunks f ~exec ~nchunks =
-  Mutex.lock f.f_lock;
-  if f.f_stopped then begin
-    Mutex.unlock f.f_lock;
-    invalid_arg "Pool.run_chunks: pool is shut down"
-  end;
-  for i = 1 to nchunks - 1 do
-    Queue.push (fun () -> exec i) f.f_queue
-  done;
-  Condition.broadcast f.f_work;
-  Mutex.unlock f.f_lock;
-  exec 0;
-  (* help: drain the shared queue on the submitting caller *)
-  let rec help () =
-    Mutex.lock f.f_lock;
-    let task = Queue.take_opt f.f_queue in
-    Mutex.unlock f.f_lock;
-    match task with
-    | Some task ->
-      task ();
-      help ()
-    | None -> ()
-  in
-  help ()
-
-let steal_run_chunks s ~exec ~nchunks =
-  if Atomic.get s.s_stopped then
-    invalid_arg "Pool.run_chunks: pool is shut down";
-  let mine = my_deque s in
-  (* owner pushes at the bottom: its own help loop pops the newest
-     child first (LIFO, cache-warm), thieves take the oldest half *)
-  for i = 1 to nchunks - 1 do
-    deque_push mine (fun () -> exec i)
-  done;
-  wake s (nchunks - 1);
-  exec 0
-
-(* the blocked-parent help loop of the steal backend: run own children
-   LIFO, steal when empty, and park on the job condition only when
-   nothing is obtainable anywhere — every queued task lives in the
-   deque of a domain that pops it before waiting, so parking here never
-   strands work *)
-let steal_help_until_done s ~job_lock ~job_done ~remaining =
-  let mine = my_deque s in
-  let rec help () =
-    let still_running =
-      Mutex.lock job_lock;
-      let r = !remaining > 0 in
-      Mutex.unlock job_lock;
-      r
-    in
-    if still_running then begin
-      (match deque_pop mine with
-       | Some t -> t ()
-       | None ->
-         (match try_steal s mine with
-          | Some t -> t ()
-          | None ->
-            Mutex.lock job_lock;
-            if !remaining > 0 then Condition.wait job_done job_lock;
-            Mutex.unlock job_lock));
-      help ()
-    end
-  in
-  help ()
-
-(* Run [run 0 .. run (nchunks-1)]: chunks 1.. are distributed through
-   the backend, the caller runs chunk 0, helps, then waits for
-   stragglers executing on other domains.  The first exception raised
-   by any chunk is re-raised once every chunk has finished — including
-   [Guard.Interrupt] from the per-chunk guard check and injected
-   faults, which are ordinary chunk exceptions to the scheduler. *)
+(* Run [run 0 .. run (nchunks-1)]: chunks 1.. go to the shared queue,
+   the caller runs chunk 0, helps drain the queue, then waits for
+   stragglers executing on other domains.  Every chunk — a lone chunk
+   included — runs with the worker flag raised no matter which domain
+   executes it (a pool worker, the submitting caller, or a service
+   worker that picked it up from inside a query envelope), and passes
+   the guard check and the "pool.chunk" fault site.  The first
+   exception raised by any chunk is re-raised once every chunk has
+   finished — including [Guard.Interrupt] from the per-chunk guard
+   check and injected faults, which are ordinary chunk exceptions to
+   the scheduler. *)
 let run_chunks ?guard pool ~nchunks run =
-  if nchunks <= 1 then begin
-    if nchunks = 1 then begin
-      Guard.check guard;
-      (* the single-chunk fast path still counts as a chunk: the worker
-         flag is raised so a nested combinator inside it sees the same
-         degradation (Fifo) / fan-out (Steal) rules as any other chunk,
-         instead of silently re-entering the pool as a fresh top-level
-         submission *)
-      Atomic.incr (counters_of pool).c_tasks;
-      let was_worker = Domain.DLS.get worker_key in
-      Domain.DLS.set worker_key true;
-      Fun.protect
-        ~finally:(fun () -> Domain.DLS.set worker_key was_worker)
-        (fun () -> run 0)
-    end
-  end
-  else begin
+  if nchunks >= 1 then begin
     let job_lock = Mutex.create () in
     let job_done = Condition.create () in
     let remaining = ref nchunks in
     let first_exn = ref None in
-    let ctr = counters_of pool in
-    let exec =
-      make_exec ~ctr ~guard ~job_lock ~job_done ~remaining ~first_exn run
+    let exec i =
+      Atomic.incr pool.n_tasks;
+      (try
+         as_worker (fun () ->
+             Guard.check guard;
+             Guard.inject "pool.chunk";
+             run i)
+       with e ->
+         Mutex.lock job_lock;
+         (* [Option.is_none], not [= None]: polymorphic comparison of an
+            option holding an exception can itself raise when the
+            exception carries closures *)
+         if Option.is_none !first_exn then first_exn := Some e;
+         Mutex.unlock job_lock);
+      Mutex.lock job_lock;
+      decr remaining;
+      if !remaining = 0 then Condition.broadcast job_done;
+      Mutex.unlock job_lock
     in
-    (match pool.impl with
-     | Fifo_impl f -> fifo_run_chunks f ~exec ~nchunks
-     | Steal_impl s ->
-       steal_run_chunks s ~exec ~nchunks;
-       steal_help_until_done s ~job_lock ~job_done ~remaining);
+    if nchunks > 1 then begin
+      Mutex.lock pool.lock;
+      if pool.stopped then begin
+        Mutex.unlock pool.lock;
+        invalid_arg "Pool.run_chunks: pool is shut down"
+      end;
+      for i = 1 to nchunks - 1 do
+        Queue.push (fun () -> exec i) pool.queue
+      done;
+      Condition.broadcast pool.work;
+      Mutex.unlock pool.lock
+    end;
+    exec 0;
+    if nchunks > 1 then drain pool;
     Mutex.lock job_lock;
     while !remaining > 0 do
       Condition.wait job_done job_lock
     done;
     Mutex.unlock job_lock;
-    match !first_exn with Some e -> raise e | None -> ()
+    Option.iter raise !first_exn
   end
 
 let nchunks_for pool len = max 1 (min len (4 * pool.size))
@@ -727,25 +253,13 @@ let parallel_map_array ?(cutoff = default_cutoff) ?guard pool f arr =
   let len = Array.length arr in
   match pool with
   | None -> Array.map f arr
-  | Some p when len <= max 1 cutoff || nested_sequential p -> Array.map f arr
+  | Some _ when len <= max 1 cutoff || in_worker () -> Array.map f arr
   | Some pool ->
     (* seed the output with the first element so no dummy is needed;
        the remaining indices are filled by disjoint chunks.  The seed
        call belongs to the parallel section just like any chunk, so it
-       too runs with the worker flag raised — keeping guard attribution
-       (and, under Fifo, nested degradation) uniform across elements *)
-    let seed =
-      let was_worker = Domain.DLS.get worker_key in
-      Domain.DLS.set worker_key true;
-      match f arr.(0) with
-      | v ->
-        Domain.DLS.set worker_key was_worker;
-        v
-      | exception e ->
-        Domain.DLS.set worker_key was_worker;
-        raise e
-    in
-    let out = Array.make len seed in
+       too runs with the worker flag raised *)
+    let out = Array.make len (as_worker (fun () -> f arr.(0))) in
     let rest = len - 1 in
     let nchunks = nchunks_for pool rest in
     run_chunks ?guard pool ~nchunks (fun ci ->
@@ -771,7 +285,7 @@ let parallel_fold ?(cutoff = default_cutoff) ?guard pool ~map ~combine ~init xs
   | Some pool ->
     let arr = Array.of_list xs in
     let len = Array.length arr in
-    if len <= max 1 cutoff || nested_sequential pool then sequential ()
+    if len <= max 1 cutoff || in_worker () then sequential ()
     else begin
       let nchunks = nchunks_for pool len in
       let partials = Array.make nchunks None in
@@ -805,7 +319,7 @@ let tree_reduce pool combine init arr =
     in
     match pool with
     | None -> sequential ()
-    | Some p when len < 8 || nested_sequential p -> sequential ()
+    | Some _ when len < 8 || in_worker () -> sequential ()
     | Some _ ->
       let cur = ref arr in
       while Array.length !cur > 1 do

@@ -1,5 +1,4 @@
-(** A fixed pool of worker domains with two interchangeable scheduling
-    backends.
+(** A fixed pool of worker domains over one shared FIFO queue.
 
     This is the execution layer behind every parallel code path in the
     library: the partition-parallel physical operators of
@@ -11,7 +10,7 @@
     {!Incdb_ctables.Ceval} and the multiplicity sweeps of
     {!Incdb_certain.Bag_bounds}.
 
-    Design constraints (see DESIGN.md §4c and §4h):
+    Design constraints (see DESIGN.md §4c):
 
     - {b stdlib only}: OCaml 5 [Domain] + [Mutex]/[Condition], no
       domainslib.
@@ -23,74 +22,38 @@
     - {b sequential below cutoff}: every combinator falls back to the
       plain sequential implementation when the input is small, so tiny
       inputs pay zero overhead.
-    - {b two backends} ({!backend}, selected by [INCDB_POOL]):
-      {ul
-      {- [Fifo] — a single shared Mutex+Condition FIFO queue.  A
-         combinator invoked from inside a pool chunk runs sequentially
-         ({!nested_sequential}), which makes this backend deadlock-free
-         by construction — chunks never block on other chunks.}
-      {- [Steal] (default) — a work-stealing scheduler: per-worker
-         deques (the owner pushes and pops LIFO at the bottom, thieves
-         steal half FIFO from the top), randomized steal order, a
-         parking/wakeup path so idle workers don't spin, and a helping
-         parent — a domain blocked in {!run_chunks} executes its own
-         children or steals before waiting.  Nested combinators
-         therefore {e fan out} instead of degrading: an inner
-         [parallel_map] from inside a chunk distributes across the
-         pool.}}
-      On both backends the DLS worker flag is raised for the duration
-      of {e every} chunk, on whichever domain executes it — a dedicated
+    - {b one shared FIFO queue}: chunks wait in a single
+      Mutex+Condition queue that the workers and the submitting caller
+      drain.  A combinator invoked from inside a pool chunk runs
+      sequentially ({!in_worker}), which makes the pool deadlock-free
+      by construction — chunks never block on other chunks.  The DLS
+      worker flag behind {!in_worker} is raised for the duration of
+      {e every} chunk, on whichever domain executes it — a dedicated
       pool worker, the submitting caller (chunk 0 and the help loop),
-      or a {!Service} worker that picked the chunk up from inside a
-      query envelope — and restored afterwards.  Under [Steal] the flag
-      no longer gates nesting; it survives so that {!Guard} attribution
-      and fault-injection draws ([INCDB_FAULT]) see the same
-      "inside a pool task" answer on both backends.
+      or a {!Service} worker that picked the chunk up while helping —
+      and restored afterwards.
 
     Every combinator is {e observationally deterministic}: given an
     associative [combine], results are equal to the sequential
-    reference regardless of pool size, backend or scheduling, because
-    chunks are recombined in input order and the library's relations
-    are immutable sets/maps. *)
+    reference regardless of pool size or scheduling, because chunks
+    are recombined in input order and the library's relations are
+    immutable sets/maps. *)
 
 type t
 
-(** The scheduling backend of a pool; see the module header. *)
-type backend = Fifo | Steal
-
-(** [create ?backend ?size ()] spawns a pool.  [size] defaults to
-    {!default_size}; it is clamped to at least 1.  [backend] defaults
-    to {!default_backend} ([INCDB_POOL], [Steal] when unset).  A pool
-    of size [s] runs [s - 1] worker domains on either backend. *)
-val create : ?backend:backend -> ?size:int -> unit -> t
+(** [create ?size ()] spawns a pool.  [size] defaults to
+    {!default_size}; it is clamped to at least 1.  A pool of size [s]
+    runs [s - 1] worker domains. *)
+val create : ?size:int -> unit -> t
 
 (** Total parallelism of the pool (worker domains + the caller). *)
 val size : t -> int
 
-(** The scheduling backend [pool] was created with. *)
-val backend : t -> backend
-
-val backend_name : backend -> string
-
-(** The [INCDB_POOL] parse used by {!default_backend}: ["fifo"] or
-    ["steal"] (case-insensitive), [None] otherwise.  Exposed for the
-    unit tests. *)
-val backend_of_string : string -> backend option
-
-(** The backend used by {!create} and {!auto} when none is given: the
-    [INCDB_POOL] environment variable if set to [fifo] or [steal],
-    otherwise [Steal].  An unparseable [INCDB_POOL] falls back to
-    [Steal] with a once-per-process warning on stderr. *)
-val default_backend : unit -> backend
-
 (** [shutdown pool] stops and joins the worker domains.  Idempotent.
     Tasks still queued when the shutdown starts are executed — by the
-    exiting workers or by the shutdown caller (on [Steal], every deque
-    including the external-submitter inbox is drained {e before} the
-    workers are joined, and re-drained after for submissions that raced
-    the stop flag) — never dropped, so a concurrent parallel section
-    always completes.  Submitting {e new} parallel work to a shut-down
-    pool raises [Invalid_argument]. *)
+    exiting workers or by the shutdown caller — never dropped, so a
+    concurrent parallel section always completes.  Submitting {e new}
+    parallel work to a shut-down pool raises [Invalid_argument]. *)
 val shutdown : t -> unit
 
 (** The pool size used by {!create} and {!auto} when none is given:
@@ -107,44 +70,26 @@ val default_size : unit -> int
 val domains_of_string : string -> int option
 
 (** [auto ()] is the process-wide shared pool, created lazily with
-    {!default_size} domains and {!default_backend}, shut down at exit —
-    or [None] when {!default_size} is 1 (a single-core machine with no
-    [INCDB_DOMAINS] override), in which case every consumer stays on
-    its sequential path.  This is the default value of the [?pool]
+    {!default_size} domains, shut down at exit — or [None] when
+    {!default_size} is 1 (a single-core machine with no [INCDB_DOMAINS]
+    override), in which case every consumer stays on its sequential
+    path.  This is the default value of the [?pool]
     argument across the library, so [INCDB_DOMAINS=4] parallelises the
     whole stack with no code changes. *)
 val auto : unit -> t option
 
-(** [true] when called from inside a pool task (either backend).  Kept
-    for guard attribution and fault determinism; use
-    {!nested_sequential} to decide whether a nested combinator should
-    degrade. *)
+(** [true] when called from inside a pool task.  Every combinator
+    takes its sequential path when this holds, so a section nested
+    inside a chunk never blocks a chunk on other chunks. *)
 val in_worker : unit -> bool
-
-(** [nested_sequential pool] is [true] when a combinator running on the
-    current domain should take its sequential path because re-entering
-    [pool] could deadlock: inside a chunk of a [Fifo] pool.  Always
-    [false] on [Steal], whose helping parents make nested submission
-    safe. *)
-val nested_sequential : t -> bool
 
 (** {1 Scheduler statistics} *)
 
 type stats = {
   tasks : int;  (** chunks executed, on any domain *)
-  steals : int;  (** successful steal sweeps ([Steal] only) *)
-  failed_steals : int;
-      (** sweeps that found every victim empty, or were abandoned by a
-          ["pool.steal"] injected fault ([Steal] only) *)
-  parks : int;
-      (** times a worker went to sleep waiting for work (on [Fifo]:
-          waits on the shared-queue condition) *)
-  steal_hist : int array;
-      (** per-steal latency histogram over successful sweeps — elapsed
-          time from sweep entry to acquisition of the stolen tasks —
-          with six decade buckets: [<1µs], [<10µs], [<100µs], [<1ms],
-          [<10ms], and the rest.  All zeros on [Fifo], which never
-          steals and never pays for the timing. *)
+  steals : int;  (** always 0 *)
+  failed_steals : int;  (** always 0 *)
+  parks : int;  (** waits of a worker on the shared-queue condition *)
 }
 
 (** Monotonic counters since pool creation.  Cheap (a few atomic
@@ -152,10 +97,24 @@ type stats = {
 val stats : t -> stats
 
 (** One-line rendering for [#stats]-style surfaces, e.g.
-    ["pool backend=steal size=4 tasks=123 steals=7 failed_steals=2 \
-      parks=11 steal_lat=5/2/0/0/0/0"] — the [steal_lat] buckets
-    ({!stats.steal_hist}) are appended on the steal backend only. *)
+    ["pool backend=fifo size=4 tasks=123 steals=0 failed_steals=0 \
+      parks=11"]. *)
 val stats_line : t -> string
+
+(** {2 Benchmark compatibility}
+
+    The benchmark's host stamp prints [backend_name (default_backend
+    ())], and it reads [steals] and [failed_steals] above.  These names
+    are kept only for the benchmark, until a change to the benchmark
+    drops them; the pool has a single scheduler. *)
+
+type backend = Fifo
+
+(** Always [Fifo]. *)
+val default_backend : unit -> backend
+
+(** ["fifo"] *)
+val backend_name : backend -> string
 
 (** {1 Tunable cutoffs}
 
@@ -182,9 +141,8 @@ val join_cutoff : int ref
     every chunk boundary; a violated deadline/budget or a cancellation
     surfaces as [Guard.Interrupt] raised from the combinator after all
     in-flight chunks have finished — the pool itself is always left
-    reusable.  Chunks additionally pass through the ["pool.chunk"]
-    fault-injection site, and steal attempts through ["pool.steal"]
-    ({!Guard.inject}). *)
+    reusable.  Every chunk, a lone one included, additionally passes
+    through the ["pool.chunk"] fault-injection site ({!Guard.inject}). *)
 
 (** [parallel_map_array pool f arr] is [Array.map f arr], with chunks
     of the input mapped on separate domains.  [f] must be safe to call
@@ -244,9 +202,8 @@ val fold_seq_chunked :
   'acc
 
 (** [run_chunks pool ~nchunks run] executes [run 0 .. run (nchunks-1)]
-    across the pool: chunks [1..] are distributed through the backend,
-    the caller runs chunk 0, helps with the rest, and waits for
-    stragglers.  The first exception raised by any chunk is re-raised
+    across the pool: chunks [1..] go to the shared queue, the caller
+    runs chunk 0, helps drain the queue, and waits for stragglers.  The first exception raised by any chunk is re-raised
     after all chunks finish.  Exposed for the scheduler tests; library
     code uses the combinators above. *)
 val run_chunks : ?guard:Guard.t -> t -> nchunks:int -> (int -> unit) -> unit

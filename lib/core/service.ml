@@ -223,9 +223,7 @@ let poll ticket =
    worker flag stays down here.  Every pool chunk still raises the flag
    for its own duration (see Pool.run_chunks) — including chunks of
    other queries this domain picks up while helping the pool — which
-   under the Fifo pool backend degrades nested submission transitively,
-   and under the Steal backend only keeps guard attribution and
-   fault-injection draws consistent (nested sections fan out there). *)
+   degrades nested submission to sequential transitively. *)
 let worker_loop t () =
   let rec next () =
     Mutex.lock t.lock;

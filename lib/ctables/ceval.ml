@@ -56,9 +56,8 @@ let post_final strategy ct =
    left operand's ctuples across the pool; inner loops stay sequential
    inside a chunk.  [Pool.parallel_map] preserves input order, so the
    list handed to [Ctable.of_list] is exactly the sequential one and
-   results are bit-identical on every pool size and backend.  Under the
-   work-stealing backend the per-strategy fan-out of {!eval_all} and
-   these per-operator loops share the same pool and nest freely. *)
+   results are bit-identical on every pool size.  Inside a strategy
+   task of {!eval_all} these loops run sequentially. *)
 let eval_gen ?(pool = Pool.auto ()) ?cutoff ?guard ~post ~post_diff
     ~post_final ~schema ~base q =
   ignore (Algebra.arity schema q);
@@ -185,9 +184,8 @@ let possible ?pool ?cutoff ?guard strategy db q =
   Ctable.possible (eval ?pool ?cutoff ?guard strategy db q)
 
 (* All four strategies on one query: one parallel task per strategy.
-   Under the Fifo backend the inner per-operator loops of each [eval]
-   degrade to sequential inside their strategy task; under Steal they
-   fan out across the same pool.  Strategy order is preserved. *)
+   The inner per-operator loops of each [eval] run sequentially inside
+   their strategy task.  Strategy order is preserved. *)
 let eval_all ?(pool = Pool.auto ()) ?cutoff ?guard db q =
   Pool.parallel_map ~cutoff:1 ?guard pool
     (fun strategy -> (strategy, eval ~pool ?cutoff ?guard strategy db q))

@@ -39,9 +39,9 @@ exception Unsupported of string
     [pool] (default {!Pool.auto}) chunks the outer ctuple loop of
     every Product/Inter/Diff operator across the pool; chunk results
     are recombined in input order, so evaluation is bit-identical to
-    [~pool:None] on every pool size and backend.  [cutoff] is the
-    operand size at or below which an operator stays sequential;
-    [guard] is checked at every chunk boundary.
+    [~pool:None] on every pool size.  [cutoff] is the operand size at
+    or below which an operator stays sequential; [guard] is checked at
+    every chunk boundary.
     @raise Algebra.Type_error if [q] is ill-typed. *)
 val eval :
   ?pool:Pool.t option ->
@@ -65,11 +65,10 @@ val eval_cdb :
   Ctable.t
 
 (** [eval_all db q] evaluates [q] under all four strategies — one
-    parallel task per strategy, in [all_strategies] order.  Under the
-    work-stealing pool backend the per-operator parallelism of each
-    strategy's evaluation nests inside its strategy task; under the
-    Fifo backend the inner loops degrade to sequential.  Results are
-    bit-identical to four sequential {!eval} calls. *)
+    parallel task per strategy, in [all_strategies] order.  The
+    per-operator loops of each strategy's evaluation run sequentially
+    inside its strategy task.  Results are bit-identical to four
+    sequential {!eval} calls. *)
 val eval_all :
   ?pool:Pool.t option ->
   ?cutoff:int ->

@@ -275,10 +275,8 @@ let commit ~full ~changed delta =
    incoming delta are only written between rounds, so the firings are
    independent and run in parallel; derived tuples are then merged
    sequentially in rule order, which makes the round deterministic.
-   Each firing runs a planned query with the same pool: under the Fifo
-   pool backend those inner joins degrade to sequential inside a
-   firing's chunk, while the work-stealing backend lets them fan out
-   across the pool — this nested shape is the e21 bench workload. *)
+   Each firing runs a planned query with the same pool; those inner
+   joins run sequentially inside a firing's chunk. *)
 let saturate ~pool ?guard ~rules ~relation_of ~full ~changed delta0 =
   let rec loop delta rounds =
     if rounds > 100_000 then eval_error "fixpoint did not converge";

@@ -29,10 +29,10 @@ exception Unsatisfiable
     failure.  [pool] (default {!Pool.auto}) chunks each round's
     quadratic violation scan across the pool by outer-tuple range; work
     items stay ordered and the first violation in order is taken, so
-    the chase is bit-identical to [~pool:None] on every pool size and
-    backend.  [guard] (default: none) is re-checked before every chase
-    round and at every chunk boundary of the scan, raising
-    [Guard.Interrupt] on a violated deadline/budget/cancellation. *)
+    the chase is bit-identical to [~pool:None] on every pool size.
+    [guard] (default: none) is re-checked before every chase round and
+    at every chunk boundary of the scan, raising [Guard.Interrupt] on a
+    violated deadline/budget/cancellation. *)
 val chase_fds :
   ?pool:Pool.t option ->
   ?guard:Guard.t ->

@@ -42,14 +42,13 @@ let push_index tbl k v =
 (* ------------------------------------------------------------------ *)
 
 (* take the parallel path only when a pool is present, the input is
-   big enough to amortise chunking, and nesting is safe: inside a
-   chunk of a Fifo-backend pool the operators degrade to sequential,
-   while the work-stealing backend lets a join inside a parallel
-   Datalog firing fan out across the same pool *)
+   big enough to amortise chunking, and we are not already inside a
+   pool chunk (a join inside a parallel Datalog firing runs
+   sequentially) *)
 let wants_parallel pool n cutoff =
   match pool with
   | None -> false
-  | Some p -> n >= !cutoff && not (Pool.nested_sequential p)
+  | Some _ -> n >= !cutoff && not (Pool.in_worker ())
 
 (* [lo, hi) slices splitting [len] elements across the pool *)
 let slices pool len =

@@ -241,70 +241,6 @@ let test_fault_delay_differential () =
 (* Pool shutdown                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_shutdown_executes_queued () =
-  let p = Pool.create ~size:4 () in
-  let started = Atomic.make 0 in
-  let d =
-    Domain.spawn (fun () ->
-        Pool.parallel_map ~cutoff:0 (Some p)
-          (fun x ->
-            Atomic.incr started;
-            Unix.sleepf 0.002;
-            x * 2)
-          (List.init 64 Fun.id))
-  in
-  (* wait until the section is visibly executing (chunks enqueued),
-     then shut down underneath it: every queued chunk must still
-     execute — by an exiting worker or by the shutdown caller — so the
-     section completes with full results *)
-  while Atomic.get started < 3 do
-    Domain.cpu_relax ()
-  done;
-  Pool.shutdown p;
-  Alcotest.(check (list int))
-    "concurrent section completed despite shutdown"
-    (List.init 64 (fun x -> x * 2))
-    (Domain.join d)
-
-let test_shutdown_race () =
-  (* race submission against shutdown repeatedly: the section either
-     completes with correct results or is rejected with
-     Invalid_argument — it never hangs and never returns wrong data *)
-  for _ = 1 to 10 do
-    let p = Pool.create ~size:3 () in
-    let xs = List.init 32 Fun.id in
-    let d =
-      Domain.spawn (fun () ->
-          match Pool.parallel_map ~cutoff:0 (Some p) succ xs with
-          | ys -> ys = List.map succ xs
-          | exception Invalid_argument _ -> true)
-    in
-    Pool.shutdown p;
-    Alcotest.(check bool) "completed or rejected, never hung" true
-      (Domain.join d)
-  done
-
-let test_post_shutdown_raises () =
-  let p = Pool.create ~size:2 () in
-  Pool.shutdown p;
-  Alcotest.check_raises "submission after shutdown"
-    (Invalid_argument "Pool.run_chunks: pool is shut down") (fun () ->
-      ignore
-        (Pool.parallel_map ~cutoff:0 (Some p) Fun.id (List.init 8 Fun.id)))
-
-let test_pool_churn () =
-  (* create/use/shutdown many pools: leaked worker domains would
-     accumulate and deadlock or exhaust the runtime long before 10
-     iterations complete *)
-  let xs = List.init 40 Fun.id in
-  for _ = 1 to 10 do
-    let p = Pool.create ~size:3 () in
-    Alcotest.(check (list int))
-      "fresh pool computes" (List.map succ xs)
-      (Pool.parallel_map ~cutoff:0 (Some p) succ xs);
-    Pool.shutdown p
-  done
-
 (* a guard cancelled mid-flight interrupts the combinator but leaves
    the pool reusable, like any other chunk exception *)
 let test_pool_guard_interrupt () =
