@@ -16,6 +16,10 @@
     constants mentioned by the query (they take part in collision
     patterns).  The answer may contain nulls of [D] (Definition 3.9).
 
+    Every world, the naive one included, comes from one
+    {!Valuation.builder}: null-free relations are shared and only the
+    null-bearing tuples are valued.
+
     Canonical worlds are {e streamed} ({!Valuation.canonical_seq}):
     the candidate set only shrinks as worlds are checked, so the
     enumeration stops as soon as it empties.  With [pool] (default
@@ -64,7 +68,13 @@ val cert_intersection_direct :
     enumeration and inside each world's query evaluation (nested
     parallel sections degrade to sequential on worker domains);
     [guard] likewise governs both the enumeration (chunk boundaries)
-    and each per-world evaluation (materialisation points). *)
+    and each per-world evaluation (materialisation points).
+
+    The query is compiled once per call and every world runs that plan;
+    subplans that read only null-free relations are evaluated in the
+    first world and kept ({!Plan.hoist_invariant}).  Answers and the
+    tuples charged to [guard] are exactly those of one {!Eval.run} per
+    world (DESIGN.md §4). *)
 
 val cert_with_nulls_ra :
   ?pool:Pool.t option -> ?guard:Guard.t -> Database.t -> Algebra.t ->

@@ -1,7 +1,10 @@
-let run_with ~run db =
+let run_with ?builder ~run db =
+  let builder =
+    match builder with Some b -> b | None -> Valuation.builder db
+  in
   let nulls = Database.nulls db in
   let v = Valuation.bijective_fresh ~nulls in
-  let answers = run (Valuation.apply_db v db) in
+  let answers = run (Valuation.world builder v) in
   Relation.map ~arity:(Relation.arity answers)
     (Array.map (Valuation.inverse_fresh ~nulls))
     answers

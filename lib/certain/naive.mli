@@ -14,9 +14,16 @@
     (Theorem 4.4), and more generally for queries preserved under the
     homomorphisms defining the semantics (Theorem 4.3). *)
 
-(** [run_with ~run db] applies naive evaluation to the abstract query
-    executor [run] (any function evaluating a query on a database). *)
-val run_with : run:(Database.t -> Relation.t) -> Database.t -> Relation.t
+(** [run_with ?builder ~run db] applies naive evaluation to the abstract
+    query executor [run] (any function evaluating a query on a
+    database).  [builder], when given, must be
+    [Valuation.builder db]; callers that value [db] again pass the one
+    they hold. *)
+val run_with :
+  ?builder:Valuation.builder ->
+  run:(Database.t -> Relation.t) ->
+  Database.t ->
+  Relation.t
 
 (** [run db q] is naive evaluation of a relational algebra query. *)
 val run : Database.t -> Algebra.t -> Relation.t

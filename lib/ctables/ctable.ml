@@ -51,15 +51,26 @@ let append ct1 ct2 =
 
 let cardinal ct = List.length ct.ctuples
 
+module Int_map = Map.Make (Int)
+
 let normalize ct =
-  let not_false c = Cond.ground c.cond <> Kleene.F in
-  let rec dedup seen = function
-    | [] -> List.rev seen
-    | c :: rest ->
-      if List.exists (fun c' -> c = c') seen then dedup seen rest
-      else dedup (c :: seen) rest
+  (* the ctuples kept so far, by hash; equality stays structural.  A map
+     of small nodes rather than a Hashtbl, whose bucket arrays outgrow
+     the minor heap on large c-tables and raise the peak heap *)
+  let hash c = Hashtbl.hash (Hashtbl.hash c.tuple, Hashtbl.hash c.cond) in
+  let _, kept =
+    List.fold_left
+      (fun (seen, kept) c ->
+        if Cond.ground c.cond = Kleene.F then (seen, kept)
+        else
+          let h = hash c in
+          let same = Option.value ~default:[] (Int_map.find_opt h seen) in
+          if List.exists (fun c' -> c = c') same then (seen, kept)
+          else (Int_map.add h (c :: same) seen, c :: kept))
+      (Int_map.empty, []) ct.ctuples
   in
-  { ct with ctuples = dedup [] (List.filter not_false ct.ctuples) }
+  (* the first occurrence wins and the kept ctuples stay in order *)
+  { ct with ctuples = List.rev kept }
 
 let certain ct =
   List.fold_left

@@ -2,9 +2,10 @@
    #valuations satisfying Σ and witnessing the tuple) *)
 let counts ~run ~query_consts ~sigma db tuple ~k =
   let vals = Support.valuations_k ~query_consts db ~k in
+  let builder = Valuation.builder db in
   List.fold_left
     (fun (den, num) v ->
-      let world = Valuation.apply_db v db in
+      let world = Valuation.world builder v in
       if Constraints.all_satisfied world sigma then
         let den = den + 1 in
         if Relation.mem (Valuation.apply_tuple v tuple) (run world) then

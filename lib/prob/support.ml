@@ -18,17 +18,19 @@ let valuations_k ~query_consts db ~k =
 
 let support_count ?(pool = Pool.auto ()) ~run ~query_consts db tuple ~k =
   let vals = valuations_k ~query_consts db ~k in
+  let builder = Valuation.builder db in
   (* |Vₖ| = k^n worlds, each instantiated and queried independently:
      an embarrassingly parallel sum *)
   Pool.parallel_fold pool ~cutoff:16
     ~map:(fun v ->
-      let world = Valuation.apply_db v db in
+      let world = Valuation.world builder v in
       if Relation.mem (Valuation.apply_tuple v tuple) (run world) then 1
       else 0)
     ~combine:( + ) ~init:0 vals
 
 let mu_k_isotypes ?(pool = Pool.auto ()) ~run ~query_consts db tuple ~k =
   let vals = valuations_k ~query_consts db ~k in
+  let builder = Valuation.builder db in
   (* group valuations by the concrete world they produce; a world type
      witnesses the tuple when at least one of its valuations does.
      Worlds are instantiated and queried in parallel; the grouping
@@ -37,7 +39,7 @@ let mu_k_isotypes ?(pool = Pool.auto ()) ~run ~query_consts db tuple ~k =
   let keyed =
     Pool.parallel_map ~cutoff:16 pool
       (fun v ->
-        let world = Valuation.apply_db v db in
+        let world = Valuation.world builder v in
         let key = Format.asprintf "%a" Database.pp world in
         (key, Relation.mem (Valuation.apply_tuple v tuple) (run world)))
       vals

@@ -19,6 +19,7 @@ type t =
   | Anti_unify of t * t
   | Dom of int
   | Shared of int * t
+  | Invariant of t * (Relation.t * int) option Atomic.t
 
 (* Join keys are arrays of values; the polymorphic hash and structural
    equality of the stdlib Hashtbl coincide with Value.equal on them, so
@@ -176,10 +177,13 @@ let run_set ?(pool = None) ?guard ~base ~dom1 plan =
      deadline/cancellation).  Without a guard this is a single match on
      [None] per node — memoized [Shared] hits skip the charge because
      they materialise nothing new. *)
+  let charged = ref 0 in
+  let charge n =
+    charged := !charged + n;
+    match guard with None -> () | Some g -> Guard.charge_exn g n
+  in
   let pay r =
-    (match guard with
-     | None -> ()
-     | Some g -> Guard.charge_exn g (Relation.cardinal r));
+    charge (Relation.cardinal r);
     r
   in
   let rec go plan =
@@ -195,6 +199,20 @@ let run_set ?(pool = None) ?guard ~base ~dom1 plan =
       (match Hashtbl.find_opt powers k with
        | Some r -> r (* already built (and charged) by an earlier ref *)
        | None -> pay (power k))
+    | Invariant (p, slot) ->
+      (* the first run evaluates [p] under the guard and keeps its
+         result with what it charged; later runs charge that again.
+         Two runs racing on an empty slot both evaluate and store equal
+         values, so every run charges the same either way *)
+      (match Atomic.get slot with
+       | Some (r, n) ->
+         charge n;
+         r
+       | None ->
+         let before = !charged in
+         let r = go p in
+         Atomic.set slot (Some (r, !charged - before));
+         r)
     | _ -> pay (eval plan)
   and eval = function
     | Scan name -> base name
@@ -266,9 +284,41 @@ let run_set ?(pool = None) ?guard ~base ~dom1 plan =
         groups;
       Relation.of_list n !out
     | Anti_unify (p1, p2) -> Relation.anti_unify_semijoin (go p1) (go p2)
-    | Dom _ | Shared _ -> assert false (* handled by [go] *)
+    | Dom _ | Shared _ | Invariant _ -> assert false (* handled by [go] *)
   in
   go plan
+
+let map_children f = function
+  | (Scan _ | Lit _ | Dom _) as p -> p
+  | Filter (c, p) -> Filter (c, f p)
+  | Project (idxs, p) -> Project (idxs, f p)
+  | Hash_join j -> Hash_join { j with left = f j.left; right = f j.right }
+  | Product (a, b) -> Product (f a, f b)
+  | Union (a, b) -> Union (f a, f b)
+  | Inter (a, b) -> Inter (f a, f b)
+  | Diff (a, b) -> Diff (f a, f b)
+  | Division (a, b) -> Division (f a, f b)
+  | Anti_unify (a, b) -> Anti_unify (f a, f b)
+  | Shared (id, p) -> Shared (id, f p)
+  | Invariant (p, slot) -> Invariant (f p, slot)
+
+(* A subplan is world-invariant when every scan reads a relation that no
+   valuation changes and it builds no [Dom] power (the domain moves with
+   the world).  [Shared] nodes stay outside: their memo charges once per
+   run, whichever occurrence comes first, so they keep their own node. *)
+let rec invariant ~unchanged = function
+  | Scan name -> unchanged name
+  | Lit _ -> true
+  | Dom _ | Shared _ | Invariant _ -> false
+  | Filter (_, p) | Project (_, p) -> invariant ~unchanged p
+  | Hash_join { left = a; right = b; _ }
+  | Product (a, b) | Union (a, b) | Inter (a, b) | Diff (a, b)
+  | Division (a, b) | Anti_unify (a, b) ->
+    invariant ~unchanged a && invariant ~unchanged b
+
+let rec hoist_invariant ~unchanged p =
+  if invariant ~unchanged p then Invariant (p, Atomic.make None)
+  else map_children (hoist_invariant ~unchanged) p
 
 (* ------------------------------------------------------------------ *)
 (* bag semantics                                                       *)
@@ -364,6 +414,7 @@ let run_bag ?(pool = None) ?guard ~base ~dom1 plan =
       (match Hashtbl.find_opt powers k with
        | Some b -> b
        | None -> pay (power k))
+    | Invariant (p, _) -> go p (* the slot keeps a set, not a bag *)
     | _ -> pay (eval plan)
   and eval = function
     | Scan name -> base name
@@ -417,7 +468,7 @@ let run_bag ?(pool = None) ?guard ~base ~dom1 plan =
     | Diff (p1, p2) -> Bag_relation.diff (go p1) (go p2)
     | Division _ -> raise (Unsupported "division is not in the bag fragment")
     | Anti_unify (p1, p2) -> Bag_relation.anti_unify_semijoin (go p1) (go p2)
-    | Dom _ | Shared _ -> assert false (* handled by [go] *)
+    | Dom _ | Shared _ | Invariant _ -> assert false (* handled by [go] *)
   in
   go plan
 
@@ -455,5 +506,6 @@ let rec pp ppf = function
   | Anti_unify (p1, p2) -> Format.fprintf ppf "(%a ⋉⇑̸H %a)" pp p1 pp p2
   | Dom k -> Format.fprintf ppf "Dom^%d" k
   | Shared (id, p) -> Format.fprintf ppf "@@%d:%a" id pp p
+  | Invariant (p, _) -> Format.fprintf ppf "inv:%a" pp p
 
 let to_string p = Format.asprintf "%a" pp p

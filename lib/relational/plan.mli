@@ -37,6 +37,14 @@ type t =
       (** memoized subplan: evaluated once per run, keyed by [id].
           Emitted by the planner for algebra subtrees occurring more
           than once (the Figure-2 translations duplicate Q⁺ inside Q?) *)
+  | Invariant of t * (Relation.t * int) option Atomic.t
+      (** subplan whose result is the same in every run of this plan
+          value: the first run under {!run_set} evaluates it and keeps
+          the result with the tuples its operators charged; later runs
+          return the kept result and charge the same count again, so
+          the guard sees exactly what evaluating it would charge.
+          Emitted only by {!hoist_invariant}; {!run_bag} evaluates the
+          subplan every time *)
 
 (** [run_set ?pool ~base ~dom1 p] executes [p] under set semantics.
     [dom1] is the unary domain relation backing [Dom 1]; higher powers
@@ -82,6 +90,16 @@ val run_bag :
   dom1:Bag_relation.t Lazy.t ->
   t ->
   Bag_relation.t
+
+(** [hoist_invariant ~unchanged p] wraps each maximal subplan of [p]
+    that scans only relations satisfying [unchanged] and holds no
+    [Dom], [Shared] or [Invariant] node in a fresh {!Invariant} node.
+    Running the result over a series of databases that agree on the
+    [unchanged] relations (the possible worlds of one incomplete
+    database, whose complete relations no valuation touches) gives the
+    same answers and the same guard charges as running [p], while each
+    invariant subplan is evaluated only once. *)
+val hoist_invariant : unchanged:(string -> bool) -> t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -30,7 +30,43 @@ let apply_tuple v t = Array.map (apply_value v) t
 let apply_relation v r =
   Relation.map ~arity:(Relation.arity r) (apply_tuple v) r
 
-let apply_db v db = Database.map_relations (fun _ r -> apply_relation v r) db
+(* Worlds of one database under many valuations.  A valuation changes
+   only the tuples holding a null, so everything else is built once:
+   relations with no null are shared physically by every world, and in
+   the others only the null-bearing tuples are valued and added to the
+   set of complete ones. *)
+type builder = {
+  db : Database.t;
+  partial : (string * Relation.t * Tuple.t list) list;
+      (** per relation with a null: its complete tuples, then the rest *)
+}
+
+let builder db =
+  let partial =
+    Database.fold
+      (fun name r acc ->
+        if Relation.is_complete r then acc
+        else
+          let pending =
+            Relation.fold
+              (fun t acc -> if Tuple.is_complete t then acc else t :: acc)
+              r []
+          in
+          (name, Relation.filter Tuple.is_complete r, pending) :: acc)
+      db []
+  in
+  { db; partial }
+
+let world b v =
+  List.fold_left
+    (fun db (name, base, pending) ->
+      Database.set_relation db name
+        (List.fold_left
+           (fun r t -> Relation.add (apply_tuple v t) r)
+           base pending))
+    b.db b.partial
+
+let apply_db v db = world (builder db) v
 
 let is_total_for v nulls = List.for_all (fun n -> Int_map.mem n v) nulls
 

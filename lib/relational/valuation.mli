@@ -27,7 +27,23 @@ val apply_value : t -> Value.t -> Value.t
 
 val apply_tuple : t -> Tuple.t -> Tuple.t
 val apply_relation : t -> Relation.t -> Relation.t
+
+(** [apply_db v db] is the possible world [v(D)]; it is
+    [world (builder db) v]. *)
 val apply_db : t -> Database.t -> Database.t
+
+(** {1 Many worlds of one database} *)
+
+(** A database prepared for valuation under many [v]: the complete
+    tuples are sorted into sets once, and relations without a null are
+    shared physically by every world. *)
+type builder
+
+val builder : Database.t -> builder
+
+(** [world b v] is [v(D)] for the database [D] of [b], equal to
+    [apply_db v D]; only the tuples of [D] that hold a null are valued. *)
+val world : builder -> t -> Database.t
 
 (** [is_total_for v nulls] holds iff every label in [nulls] is assigned. *)
 val is_total_for : t -> int list -> bool

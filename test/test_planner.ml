@@ -112,7 +112,8 @@ let test_shared_subplan () =
   let rec count_shared = function
     | Plan.Shared (_, p) -> 1 + count_shared p
     | Plan.Scan _ | Plan.Lit _ | Plan.Dom _ -> 0
-    | Plan.Filter (_, p) | Plan.Project (_, p) -> count_shared p
+    | Plan.Filter (_, p) | Plan.Project (_, p) | Plan.Invariant (p, _) ->
+      count_shared p
     | Plan.Hash_join { left; right; _ } ->
       count_shared left + count_shared right
     | Plan.Product (p1, p2)
