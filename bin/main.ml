@@ -586,14 +586,21 @@ let update_line_response = function
 (* [key_prefix] separates payload shapes sharing one cache: the TCP
    server stores single-line payloads under "cert:" and streamed
    payloads under "certs:", so a cached line never replays as a frame
-   sequence (or vice versa) when a client toggles #stream *)
-let cert_cache_binding ?(key_prefix = "cert:") cache ~all_rels q =
+   sequence (or vice versa) when a client toggles #stream.
+
+   A degraded [serve] answer is Q⁺ over the relations [q] reads, and
+   whether the exact leg degrades depends on those relations alone
+   (Certainty.relevant), so by default it shares the exact answer's
+   dependencies.  The coordinator passes every relation as
+   [approx_deps]: its partial answers reflect fleet health. *)
+let cert_cache_binding ?(key_prefix = "cert:") ?approx_deps cache q =
+  let deps = Algebra.relations q in
   Option.map
     (fun c ->
       { Service.cache = c;
         key = key_prefix ^ Planner.fingerprint q;
-        deps = Algebra.relations q;
-        approx_deps = all_rels;
+        deps;
+        approx_deps = Option.value approx_deps ~default:deps;
         require_exact = false })
     cache
 
@@ -993,7 +1000,7 @@ let serve_cmd =
                  let t0 = Unix.gettimeofday () in
                  let ticket =
                    Service.submit svc
-                     ?cache:(cert_cache_binding cache ~all_rels q)
+                     ?cache:(cert_cache_binding cache q)
                      ~fallback:(fun ~pool ->
                        Scheme_pm.certain_sub ~pool (view_db st) q)
                      (fun ~pool ~guard ->
@@ -1116,7 +1123,7 @@ let serve_cmd =
                        Server.Stream
                          (csv_rows (Scheme_pm.certain_sub ~pool (view_db st) q)));
                  cache =
-                   cert_cache_binding ~key_prefix:"certc:" cache ~all_rels q })
+                   cert_cache_binding ~key_prefix:"certc:" cache q })
       | _ -> None
     in
     let handler ~stream sql =
@@ -1175,7 +1182,7 @@ let serve_cmd =
                 (fun ~pool ->
                   let r = Scheme_pm.certain_sub ~pool (view_db st) q in
                   Server.Stream (tuples_seq r));
-            cache = cert_cache_binding ~key_prefix:"certs:" cache ~all_rels q }
+            cache = cert_cache_binding ~key_prefix:"certs:" cache q }
       | q ->
         Result.Ok
           { Server.run =
@@ -1191,7 +1198,7 @@ let serve_cmd =
                   Server.Line
                     (Printf.sprintf "(%d tuples, sound subset)"
                        (Relation.cardinal r)));
-            cache = cert_cache_binding cache ~all_rels q }
+            cache = cert_cache_binding cache q }
     in
     let server =
       Server.create
@@ -2100,7 +2107,8 @@ let coord_cmd =
                        in
                        let ticket =
                          Service.submit svc
-                           ?cache:(cert_cache_binding cache ~all_rels q)
+                           ?cache:
+                             (cert_cache_binding ~approx_deps:all_rels cache q)
                            ~fallback run
                        in
                        push (Some (`Outcome (n, ticket, t0))))
@@ -2203,7 +2211,9 @@ let coord_cmd =
                 Result.Ok
                   { Server.run;
                     fallback = Some fallback;
-                    cache = cert_cache_binding ~key_prefix cache ~all_rels q })
+                    cache =
+                      cert_cache_binding ~key_prefix ~approx_deps:all_rels
+                        cache q })
           in
           let server =
             Server.create

@@ -35,10 +35,11 @@ type op =
 exception Unsupported of string
 
 let world_answers db q =
-  let query_consts = Algebra.consts q in
-  List.map
-    (fun (_, world) -> Eval.run world q)
-    (Certainty.canonical_worlds ~query_consts db)
+  let run = Certainty.ra_run db q in
+  List.of_seq
+    (Seq.map
+       (fun (_, world) -> run world)
+       (Certainty.canonical_world_seq ~query_consts:(Algebra.consts q) db))
 
 let count_range db q =
   match List.map Relation.cardinal (world_answers db q) with

@@ -106,11 +106,26 @@ let ra_run ?(pool = Pool.auto ()) ?guard db q =
       ~dom1:(lazy (Eval.domain_relation ~extra_consts:[] world))
       plan
 
+(* By genericity only the relations [q] reads, with their nulls and
+   constants, decide its answer, so the others are emptied and take no
+   part in the canonical enumeration.  [Dom] ranges over the whole
+   active domain: a query that uses it keeps every relation. *)
+let relevant db q =
+  if Algebra.uses_dom q then db
+  else
+    let reads = Algebra.relations q in
+    Database.map_relations
+      (fun name r ->
+        if List.mem name reads then r else Relation.empty (Relation.arity r))
+      db
+
 let cert_with_nulls_ra ?pool ?guard db q =
+  let db = relevant db q in
   cert_with_nulls ?pool ?guard ~run:(ra_run ?pool ?guard db q)
     ~query_consts:(Algebra.consts q) db
 
 let cert_intersection_ra ?pool ?guard db q =
+  let db = relevant db q in
   cert_intersection ?pool ?guard ~run:(ra_run ?pool ?guard db q)
     ~query_consts:(Algebra.consts q) db
 
@@ -133,16 +148,20 @@ type answer = Exact of Relation.t | Approximate of Relation.t
 let answer_relation = function Exact r | Approximate r -> r
 
 let cert_with_fallback ?(planner = true) ?(pool = Pool.auto ()) ?guard db q =
+  let read = relevant db q in
   let run =
-    if planner then ra_run ~pool ?guard db q
+    if planner then ra_run ~pool ?guard read q
     else fun w -> Eval.run ~planner ~pool ?guard w q
   in
-  match cert_with_nulls ~pool ?guard ~run ~query_consts:(Algebra.consts q) db with
+  match
+    cert_with_nulls ~pool ?guard ~run ~query_consts:(Algebra.consts q) read
+  with
   | exact -> Exact exact
   | exception Guard.Interrupt _ ->
     (* graceful degradation: the polynomial scheme of Figure 2(b) is a
        sound under-approximation (Q⁺ ⊆ cert⊥, Theorem 4.7) and runs
-       without the guard — a single pass over Q⁺, never interrupted *)
+       without the guard — a single pass over Q⁺, never interrupted;
+       it runs on the full database *)
     Approximate (Scheme_pm.certain_sub ~planner ~pool db q)
 
 let certain_object_ucq db q =

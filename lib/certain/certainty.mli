@@ -64,17 +64,47 @@ val cert_intersection_direct :
   Database.t ->
   Relation.t
 
+(** [relevant db q] is [db] with every relation that [q] does not read
+    emptied (schema and arities kept); it is [db] itself when
+    [Algebra.uses_dom q].
+
+    {b The relevance rule.}  Without [Dom] an algebra query reads only
+    its own relations, so by genericity cert⊥(Q, D) = cert⊥(Q,
+    [relevant D Q]): a null or constant of a relation [Q] never reads
+    changes no world's answer to [Q].  The rule does not hold where the
+    query ranges over the active domain of the whole database: [Dom]
+    and FO formulas, whose quantifiers range over adom(D)
+    (with R = \{1\} and T = \{2\}, ∀x R(x) is false on D and true on
+    D with T emptied).  So the RA front ends below enumerate
+    [relevant db q] and the FO front ends enumerate [db]. *)
+val relevant : Database.t -> Algebra.t -> Database.t
+
+(** [ra_run ?pool ?guard db q] type-checks and compiles [q] once and
+    returns its per-world runner: applied to a possible world of [db]
+    (a valuation of [db], so with the same null-free relations) it
+    returns [Eval.run world q] and charges [guard] the same tuples.
+    Subplans that read only null-free relations are evaluated in the
+    first world it is applied to and kept ({!Plan.hoist_invariant}). *)
+val ra_run :
+  ?pool:Pool.t option ->
+  ?guard:Guard.t ->
+  Database.t ->
+  Algebra.t ->
+  Database.t ->
+  Relation.t
+
 (** Relational algebra front ends.  [pool] is used both for the world
     enumeration and inside each world's query evaluation (nested
     parallel sections degrade to sequential on worker domains);
     [guard] likewise governs both the enumeration (chunk boundaries)
     and each per-world evaluation (materialisation points).
 
-    The query is compiled once per call and every world runs that plan;
-    subplans that read only null-free relations are evaluated in the
-    first world and kept ({!Plan.hoist_invariant}).  Answers and the
-    tuples charged to [guard] are exactly those of one {!Eval.run} per
-    world (DESIGN.md §4). *)
+    They enumerate the worlds of [relevant db q]: only the nulls and
+    constants of the relations the query reads take part.  The query
+    is compiled once per call ({!ra_run}) and every world runs that
+    plan.  Answers are cert⊥(Q, D) of the full database; the tuples
+    charged to [guard] are exactly those of one {!Eval.run} per world
+    of [relevant db q] (DESIGN.md §4). *)
 
 val cert_with_nulls_ra :
   ?pool:Pool.t option -> ?guard:Guard.t -> Database.t -> Algebra.t ->
@@ -84,9 +114,11 @@ val cert_intersection_ra :
   ?pool:Pool.t option -> ?guard:Guard.t -> Database.t -> Algebra.t ->
   Relation.t
 
-(** FO front ends (free variables in {!Fo.free_vars} order).  [guard]
-    governs the world enumeration only — per-world FO evaluation does
-    not thread the token. *)
+(** FO front ends (free variables in {!Fo.free_vars} order).  They
+    enumerate the worlds of the full [db]: quantifiers range over the
+    active domain of every relation, so {!relevant} does not apply.
+    [guard] governs the world enumeration only — per-world FO
+    evaluation does not thread the token. *)
 
 val cert_with_nulls_fo :
   ?pool:Pool.t option -> ?guard:Guard.t -> Database.t -> Fo.t -> Relation.t
@@ -122,7 +154,9 @@ val answer_relation : answer -> Relation.t
     fragment (queries without [Is_null]/[Is_const] tests — the
     Theorem 4.7 hypothesis).  With no guard (or a guard that never
     fires) the result is [Exact (cert⊥(Q, D))], bit-identical to
-    {!cert_with_nulls_ra}.
+    {!cert_with_nulls_ra}.  The exact leg enumerates the worlds of
+    [relevant db q], with or without [planner]; the Q⁺ fallback runs
+    on the full [db].
 
     @raise Scheme_pm.Unsupported if the fallback is needed but [q]
     mentions [Dom]/[Anti_unify_join] (outside the translatable

@@ -17,18 +17,22 @@ let classify db q tuple =
     else Impossible
   end
 
+(* the verdict is settled once one world holds the tuple and another
+   does not, so the world stream stops there *)
 let classify_exact db q tuple =
-  let query_consts = Algebra.consts q in
-  let worlds = Certainty.canonical_worlds ~query_consts db in
-  let hits =
-    List.map
-      (fun (v, world) ->
-        Relation.mem (Valuation.apply_tuple v tuple) (Eval.run world q))
-      worlds
+  let run = Certainty.ra_run db q in
+  let rec go ~hit ~miss worlds =
+    if hit && miss then Possible
+    else
+      match worlds () with
+      | Seq.Nil -> if not miss then Certain else Impossible
+      | Seq.Cons ((v, world), rest) ->
+        if Relation.mem (Valuation.apply_tuple v tuple) (run world) then
+          go ~hit:true ~miss rest
+        else go ~hit ~miss:true rest
   in
-  if List.for_all Fun.id hits then Certain
-  else if List.exists Fun.id hits then Possible
-  else Impossible
+  go ~hit:false ~miss:false
+    (Certainty.canonical_world_seq ~query_consts:(Algebra.consts q) db)
 
 let report db q =
   let plus = Scheme_pm.certain_sub db q in

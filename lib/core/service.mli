@@ -144,10 +144,11 @@ type 'a ticket
     DESIGN.md §4g).  [key] is the caller's cache key (in practice
     ["<mode>:" ^ Planner.fingerprint q]); [deps] are the base
     relations an {e exact} answer depends on ([Algebra.relations q]);
-    [approx_deps] are the dependencies of a {e degraded} answer — the
-    Q⁺/Q? approximation schemes consult the active domain, which any
-    relation can extend, so degraded entries typically depend on
-    {e every} relation of the schema.  [require_exact] makes the
+    [approx_deps] are the dependencies of a {e degraded} answer.  A
+    Q⁺ fallback reads only the query's relations, so [incdb serve]
+    passes [deps] again; [incdb coord] passes every relation of the
+    schema, since a partial gather reflects fleet health rather than
+    any one relation.  [require_exact] makes the
     lookup skip [Approximate] entries (a caller that would not accept
     a degraded answer must not be served one from the cache). *)
 type 'a cache_binding = {

@@ -2,12 +2,17 @@
 
    These are the world loop and the c-table dedup as they stood before
    possible worlds were made cheap (compile-once, the valuation builder,
-   world-invariant subplans, hashed dedup).  They are kept verbatim, and
+   world-invariant subplans, hashed dedup) and before cert⊥ was decided
+   on the relations the query reads.  They are kept verbatim, and
    nothing in the library calls them: each world is built by valuing
-   every tuple of every relation, each world recompiles the query
-   through [Eval.run], and [normalize] dedups with a quadratic
-   [List.exists] scan.  test_worlds.ml checks that the library returns
-   the same answers, the same ctuple lists and the same guard charges. *)
+   every tuple of every relation, over every null of the database, each
+   world recompiles the query through [Eval.run], and [normalize] dedups
+   with a quadratic [List.exists] scan.  test_worlds.ml checks that the
+   library returns the same answers, the same ctuple lists and, on the
+   relations the query reads, the same guard charges.
+
+   [brute_force_cert] is independent of all of them: it tries every
+   valuation and every candidate tuple, with no canonical enumeration. *)
 
 open Incdb_relational
 open Incdb_certain
@@ -246,3 +251,165 @@ let cert_with_fallback ?(planner = true) ?(pool = Pool.auto ()) ?guard db q =
   | exact -> Certainty.Exact exact
   | exception Guard.Interrupt _ ->
     Certainty.Approximate (Scheme_pm.certain_sub ~planner ~pool db q)
+
+(* ------------------------------------------------------------------ *)
+(* Classify.classify_exact and Aggregate's world loop, one Eval.run    *)
+(* per world                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let classify_exact db q tuple =
+  let query_consts = Algebra.consts q in
+  let worlds = Certainty.canonical_worlds ~query_consts db in
+  let hits =
+    List.map
+      (fun (v, world) ->
+        Relation.mem (Valuation.apply_tuple v tuple) (Eval.run world q))
+      worlds
+  in
+  if List.for_all Fun.id hits then Classify.Certain
+  else if List.exists Fun.id hits then Classify.Possible
+  else Classify.Impossible
+
+let world_answers db q =
+  let query_consts = Algebra.consts q in
+  List.map
+    (fun (_, world) -> Eval.run world q)
+    (Certainty.canonical_worlds ~query_consts db)
+
+let count_range db q =
+  match List.map Relation.cardinal (world_answers db q) with
+  | [] -> assert false
+  | c :: cs ->
+    (List.fold_left min c cs, List.fold_left max c cs)
+
+let column_int t col =
+  match t.(col) with
+  | Value.Const (Value.Int n) -> Some n
+  | Value.Const (Value.Str _) | Value.Const (Value.Gen _) ->
+    raise (Aggregate.Unsupported "Aggregate: non-integer constant in column")
+  | Value.Null _ -> None
+
+let range db q ~col (op : Aggregate.op) : Aggregate.range =
+  let k = Algebra.arity (Database.schema db) q in
+  if col < 0 || col >= k then
+    raise
+      (Aggregate.Unsupported
+         (Printf.sprintf "Aggregate: column %d of arity %d" col k));
+  let possible = Scheme_pm.possible_sup db q in
+  let has_null =
+    Relation.exists (fun t -> Value.is_null t.(col)) possible
+  in
+  Relation.iter (fun t -> ignore (column_int t col)) possible;
+  if has_null then begin
+    let certain = Scheme_pm.certain_sub db q in
+    let certain_values =
+      Relation.fold
+        (fun t acc ->
+          match column_int t col with Some n -> n :: acc | None -> acc)
+        certain []
+    in
+    let empty_possible = Relation.is_empty certain in
+    match op with
+    | Sum -> { lo = Neg_inf; hi = Pos_inf; empty_possible = false }
+    | Min ->
+      let hi =
+        match certain_values with
+        | [] -> Aggregate.Pos_inf
+        | v :: vs -> Fin (List.fold_left min v vs)
+      in
+      { lo = Neg_inf; hi; empty_possible }
+    | Max ->
+      let lo =
+        match certain_values with
+        | [] -> Aggregate.Neg_inf
+        | v :: vs -> Fin (List.fold_left max v vs)
+      in
+      { lo; hi = Pos_inf; empty_possible }
+  end
+  else begin
+    let answers = world_answers db q in
+    let aggregate_world r =
+      let values =
+        Relation.fold
+          (fun t acc ->
+            match column_int t col with
+            | Some n -> n :: acc
+            | None -> acc)
+          r []
+      in
+      match op, values with
+      | Sum, vs -> Some (List.fold_left ( + ) 0 vs)
+      | (Min | Max), [] -> None
+      | Min, v :: vs -> Some (List.fold_left min v vs)
+      | Max, v :: vs -> Some (List.fold_left max v vs)
+    in
+    let results = List.map aggregate_world answers in
+    let empty_possible = List.exists (fun r -> r = None) results in
+    let values = List.filter_map Fun.id results in
+    match values with
+    | [] ->
+      (match op with
+       | Sum -> { lo = Fin 0; hi = Fin 0; empty_possible = false }
+       | Min | Max -> { lo = Pos_inf; hi = Neg_inf; empty_possible = true })
+    | v :: vs ->
+      {
+        lo = Fin (List.fold_left min v vs);
+        hi = Fin (List.fold_left max v vs);
+        empty_possible;
+      }
+  end
+
+(* ------------------------------------------------------------------ *)
+(* cert⊥ by brute force                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* every map from [nulls] into [values] *)
+let rec all_valuations nulls values =
+  match nulls with
+  | [] -> [ [] ]
+  | n :: rest ->
+    List.concat_map
+      (fun v -> List.map (fun tail -> (n, v) :: tail) (all_valuations rest values))
+      values
+
+(* every tuple of arity [k] over [values] *)
+let rec all_tuples k values =
+  if k = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun v -> List.map (fun tail -> v :: tail) (all_tuples (k - 1) values))
+      values
+
+(* cert⊥(Q, D) from Definition 3.9, over the whole database: t̄ is
+   certain iff v(t̄) ∈ Q(v(D)) for every valuation v.  By genericity it
+   suffices to let each null range over the constants of D and of the
+   query plus one fresh constant per null; every such valuation is
+   tried, not one per collision pattern.  Candidates are every tuple
+   over those constants of D and the query and the nulls of D.  [run]
+   is the query in one world. *)
+let brute_force_cert ~run ~query_consts db =
+  let nulls = Database.nulls db in
+  let consts = pattern_consts ~query_consts db in
+  let fresh =
+    List.mapi (fun i _ -> Value.Str (Printf.sprintf "fresh%d" i)) nulls
+  in
+  assert (
+    List.for_all (fun f -> not (List.exists (Value.equal_const f) consts)) fresh);
+  let worlds =
+    List.map
+      (fun pairs ->
+        let v = Valuation.of_list pairs in
+        (v, run (apply_db v db)))
+      (all_valuations nulls (consts @ fresh))
+  in
+  let k = Relation.arity (snd (List.hd worlds)) in
+  let values =
+    List.map (fun c -> Value.Const c) consts @ List.map Value.null nulls
+  in
+  Relation.of_list k
+    (List.filter
+       (fun t ->
+         List.for_all
+           (fun (v, answer) -> Relation.mem (Valuation.apply_tuple v t) answer)
+           worlds)
+       (List.map Tuple.of_list (all_tuples k values)))

@@ -250,6 +250,58 @@ let test_listen_updates_and_cache () =
   Alcotest.(check bool) "cache summary printed" true
     (contains "-- cache: hits=" rest)
 
+(* under --budget 1 every answer degrades to Q⁺, which reads only the
+   query's relations: its cache entry survives an update to a relation
+   the query does not read and goes stale on one it does *)
+let test_listen_degraded_deps () =
+  let pid, stdout_r, port =
+    spawn_listen ~null_rate:"0" [ "--listen"; "127.0.0.1:0"; "--budget"; "1" ]
+  in
+  let fd = connect port in
+  let ask n q expect =
+    send_fd fd (q ^ "\n");
+    let reply = read_line_fd fd in
+    Alcotest.(check bool)
+      (Printf.sprintf "[%d] %s, got %s" n expect reply)
+      true
+      (contains (Printf.sprintf "[%d] %s" n expect) reply)
+  in
+  let stats () =
+    send_fd fd "#stats\n";
+    read_line_fd fd
+  in
+  let deterministic = Sys.getenv_opt "INCDB_FAULT" = None in
+  (* a failed check must not leave the server holding the suite's
+     stderr open *)
+  Fun.protect
+    ~finally:(fun () ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ())
+  @@ fun () ->
+  ask 1 "SELECT title FROM Orders" "degraded (3 tuples";
+  ask 2 "insert Payments(o9,o9)" "ok updated Payments";
+  ask 3 "SELECT title FROM Orders" "degraded (3 tuples";
+  let s = stats () in
+  if deterministic then
+    Alcotest.(check bool) ("unread update keeps the entry: " ^ s) true
+      (contains "hits=1 " s && contains "stale=0 " s);
+  ask 4 "insert Orders(o9,t9,9)" "ok updated Orders";
+  ask 5 "SELECT title FROM Orders" "degraded (4 tuples";
+  let s = stats () in
+  if deterministic then
+    Alcotest.(check bool) ("read update invalidates it: " ^ s) true
+      (contains "hits=1 " s && contains "stale=1 " s);
+  send_fd fd "#drain\n";
+  Alcotest.(check string) "drain ack" "#ok draining" (read_line_fd fd);
+  Unix.close fd;
+  ignore (read_all_fd stdout_r);
+  Unix.close stdout_r;
+  Alcotest.(check int) "clean exit" 0 (wait_exit pid)
+
 let test_listen_no_cache () =
   let pid, stdout_r, port =
     spawn_listen [ "--listen"; "127.0.0.1:0"; "--no-cache" ]
@@ -712,6 +764,8 @@ let () =
             test_listen_roundtrip;
           Alcotest.test_case "updates, cache hits and #stats" `Quick
             test_listen_updates_and_cache;
+          Alcotest.test_case "degraded entries depend on read relations"
+            `Quick test_listen_degraded_deps;
           Alcotest.test_case "--no-cache disables #stats" `Quick
             test_listen_no_cache;
           Alcotest.test_case "SIGTERM drains gracefully" `Quick

@@ -1,8 +1,12 @@
 (* Differential suite for the possible-world loop of cert⊥: the library
-   (one compiled plan per call, the valuation builder, world-invariant
-   subplans, hashed c-table dedup) against the frozen implementations in
-   oracle.ml.  Answers, ctuple lists (order included) and the tuples
-   charged to a guard must all be identical, on every pool. *)
+   (relevance, one compiled plan per call, the valuation builder,
+   world-invariant subplans, hashed c-table dedup) against the frozen
+   implementations in oracle.ml and its brute-force cert⊥.  Answers and
+   ctuple lists (order included) must be identical to the oracle's on
+   the full database, on every pool.  The RA front ends enumerate only
+   the relations the query reads (Certainty.relevant), so their guard
+   charges and budget labels are those of the oracle run on that
+   restricted database. *)
 
 open Incdb_relational
 open Incdb_certain
@@ -34,17 +38,18 @@ let names = [ "R"; "S"; "T" ]
    pattern constants that 4 nulls stay at a few hundred worlds *)
 let gen_const = Gen.map (fun n -> Value.Int n) (Gen.int_range 0 2)
 
-let gen_db : Database.t Gen.t =
+(* [max_nulls] distinct null labels at most, in the relations
+   [with_nulls] draws, each value there a null with odds
+   [null_weight] : 2 *)
+let gen_db_over ~max_nulls ~null_weight ~with_nulls : Database.t Gen.t =
   let open Gen in
-  (* which relations may hold nulls: never all three *)
-  let* with_nulls =
-    oneofl [ []; [ "R" ]; [ "S" ]; [ "T" ]; [ "R"; "S" ]; [ "R"; "T" ]; [ "S"; "T" ] ]
-  in
+  let* with_nulls = with_nulls in
+  let* null_weight = null_weight in
   let value name =
     if List.mem name with_nulls then
       frequency
         [ (2, map (fun c -> Value.Const c) gen_const);
-          (1, map Value.null (int_range 0 3)) ]
+          (null_weight, map Value.null (int_range 0 (max_nulls - 1))) ]
     else map (fun c -> Value.Const c) gen_const
   in
   let rel name =
@@ -54,6 +59,13 @@ let gen_db : Database.t Gen.t =
       (list_size (int_range 0 3) (map Tuple.of_list (list_repeat k (value name))))
   in
   map (Database.of_list schema) (flatten_l (List.map rel names))
+
+(* ≤ 4 nulls, never in all three relations *)
+let gen_db =
+  gen_db_over ~max_nulls:4 ~null_weight:(Gen.return 1)
+    ~with_nulls:
+      (Gen.oneofl
+         [ []; [ "R" ]; [ "S" ]; [ "T" ]; [ "R"; "S" ]; [ "R"; "T" ]; [ "S"; "T" ] ])
 
 let gen_condition k =
   let open Gen in
@@ -156,8 +168,13 @@ let agree ~equal o n =
   | Error a, Error b -> a = b
   | Ok _, Error _ | Error _, Ok _ -> false
 
-let same_answers ~what ~pool ~equal oracle fresh =
+(* answers must equal [oracle]'s; the tuples charged must equal those
+   of [charges] (by default [oracle] itself) *)
+let same_answers ~what ~pool ~equal ?charges oracle fresh =
   let o, o_used = charged oracle and n, n_used = charged fresh in
+  let o_used =
+    match charges with None -> o_used | Some c -> snd (charged c)
+  in
   if not (agree ~equal o n) then
     QCheck2.Test.fail_reportf "%s on %s: answers differ" what pool;
   if o_used <> n_used then
@@ -177,17 +194,32 @@ let prop_ra_differential =
     Gen.(pair gen_db (gen_query ~dom:true))
     (fun (db, q) ->
       let consts = Algebra.consts q in
+      let read = Certainty.relevant db q in
+      (* every relation a Dom-free query does not read is emptied, and
+         nothing else changes *)
+      List.iter
+        (fun name ->
+          let r = Database.relation db name in
+          let kept = Algebra.uses_dom q || List.mem name (Algebra.relations q) in
+          let want = if kept then r else Relation.empty (Relation.arity r) in
+          if not (Relation.equal (Database.relation read name) want) then
+            QCheck2.Test.fail_reportf "relevant: wrong relation %s" name)
+        names;
       List.for_all
         (fun (name, pool) ->
-          let rel what oracle fresh =
-            same_answers ~what ~pool:name ~equal:Relation.equal oracle fresh
+          let rel ?charges what oracle fresh =
+            same_answers ?charges ~what ~pool:name ~equal:Relation.equal oracle
+              fresh
           in
           let eval g w = Eval.run ~pool ~guard:g w q in
           rel "cert_with_nulls_ra"
             (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g db q)
+            ~charges:(fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
             (fun g -> Certainty.cert_with_nulls_ra ~pool ~guard:g db q)
           && rel "cert_intersection_ra"
                (fun g -> Oracle.cert_intersection_ra ~pool ~guard:g db q)
+               ~charges:(fun g ->
+                 Oracle.cert_intersection_ra ~pool ~guard:g read q)
                (fun g -> Certainty.cert_intersection_ra ~pool ~guard:g db q)
           && rel "cert_intersection_direct"
                (fun g ->
@@ -203,6 +235,8 @@ let prop_ra_differential =
                    ~equal:equal_answer
                    (fun g ->
                      Oracle.cert_with_fallback ~planner ~pool ~guard:g db q)
+                   ~charges:(fun g ->
+                     Oracle.cert_with_fallback ~planner ~pool ~guard:g read q)
                    (fun g ->
                      Certainty.cert_with_fallback ~planner ~pool ~guard:g db q))
                [ true; false ])
@@ -221,18 +255,23 @@ let prop_fo_differential =
             (fun g -> Certainty.cert_with_nulls_fo ~pool ~guard:g db phi))
         pools)
 
-(* A budget equal to the oracle's total charge lets it finish; one less
-   interrupts it.  The library must return or raise exactly as the
-   oracle does at both budgets, so no exact/degraded label can move. *)
+(* A budget equal to the oracle's total charge on the relations the
+   query reads lets it finish; one less interrupts it.  The library must
+   return or raise exactly as that oracle does at both budgets, so no
+   exact/degraded label moves but those the restriction earns.  An
+   answer it returns must still be the full-database oracle's. *)
 let prop_budget_labels =
   QCheck2.Test.make ~count:300 ~name:"budget labels match the oracle"
     ~print:print_instance
     Gen.(pair gen_db (gen_query ~dom:false))
     (fun (db, q) ->
+      let read = Certainty.relevant db q in
+      let full = Oracle.cert_with_nulls_ra ~pool:None db q in
+      let full_plus = Scheme_pm.certain_sub ~pool:None db q in
       List.for_all
         (fun (name, pool) ->
           let _, total =
-            charged (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g db q)
+            charged (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
           in
           List.for_all
             (fun budget ->
@@ -250,14 +289,115 @@ let prop_budget_labels =
                     (if Result.is_ok n then "returned" else "raised");
                 true
               in
+              let full_answer = function
+                | Ok (Certainty.Exact r) -> Relation.equal r full
+                | Ok (Certainty.Approximate r) -> Relation.equal r full_plus
+                | Error _ -> true
+              in
               check "cert_with_nulls_ra" ~equal:Relation.equal
-                (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g db q)
+                (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
                 (fun g -> Certainty.cert_with_nulls_ra ~pool ~guard:g db q)
               && check "cert_with_fallback" ~equal:equal_answer
-                   (fun g -> Oracle.cert_with_fallback ~pool ~guard:g db q)
-                   (fun g -> Certainty.cert_with_fallback ~pool ~guard:g db q))
+                   (fun g -> Oracle.cert_with_fallback ~pool ~guard:g read q)
+                   (fun g -> Certainty.cert_with_fallback ~pool ~guard:g db q)
+              && (full_answer
+                    (fst
+                       (charged ~budget (fun g ->
+                            Certainty.cert_with_fallback ~pool ~guard:g db q)))
+                 || QCheck2.Test.fail_reportf
+                      "cert_with_fallback on %s, budget %d: answer differs \
+                       from the full-database oracle"
+                      name budget))
             (List.filter (fun b -> b >= 0) [ total; total - 1 ]))
         pools)
+
+(* ≤ 3 nulls, in any of R, S, T: the brute force tries (consts + nulls)
+   ^ nulls valuations, so three nulls keep it at a few hundred.  Some
+   instances are mostly nulls, so that nulls often collide only with
+   each other (on a fresh constant) *)
+let gen_db_small =
+  gen_db_over ~max_nulls:3 ~null_weight:(Gen.oneofl [ 1; 100 ])
+    ~with_nulls:
+      (Gen.oneofl
+         [ []; [ "R" ]; [ "S" ]; [ "T" ]; [ "R"; "S" ]; [ "R"; "T" ];
+           [ "S"; "T" ]; [ "R"; "S"; "T" ] ])
+
+let prop_brute_force =
+  QCheck2.Test.make ~count:300 ~name:"RA front ends = brute-force cert⊥"
+    ~print:print_instance
+    Gen.(pair gen_db_small (bool >>= fun dom -> gen_query ~dom))
+    (fun (db, q) ->
+      let want =
+        Oracle.brute_force_cert
+          ~run:(fun w -> Eval.run ~planner:false ~pool:None w q)
+          ~query_consts:(Algebra.consts q) db
+      in
+      List.for_all
+        (fun (name, pool) ->
+          let got = Certainty.cert_with_nulls_ra ~pool db q in
+          if not (Relation.equal got want) then
+            QCheck2.Test.fail_reportf
+              "cert_with_nulls_ra on %s: %s, brute force %s" name
+              (Format.asprintf "%a" Relation.pp got)
+              (Format.asprintf "%a" Relation.pp want);
+          List.for_all
+            (fun planner ->
+              match Certainty.cert_with_fallback ~planner ~pool db q with
+              | Certainty.Exact r when Relation.equal r want -> true
+              | Certainty.Exact _ | Certainty.Approximate _ ->
+                QCheck2.Test.fail_reportf
+                  "cert_with_fallback (planner %b) on %s: not the exact \
+                   brute-force answer"
+                  planner name)
+            [ true; false ])
+        pools)
+
+(* ------------------------------------------------------------------ *)
+(* Classify and Aggregate: the compiled runner per world                *)
+(* ------------------------------------------------------------------ *)
+
+(* a probe tuple of the query's arity over the constants and nulls the
+   generated databases use *)
+let gen_probe k =
+  let open Gen in
+  map Tuple.of_list
+    (list_repeat k
+       (frequency
+          [ (2, map (fun c -> Value.Const c) gen_const);
+            (1, map Value.null (int_range 0 3)) ]))
+
+let prop_classify =
+  QCheck2.Test.make ~count:300
+    ~name:"classify_exact = frozen per-world Eval.run"
+    ~print:(fun ((db, q), t) -> print_instance (db, q) ^ "\n" ^ Tuple.to_string t)
+    Gen.(
+      pair gen_db (gen_query ~dom:true) >>= fun (db, q) ->
+      map (fun t -> ((db, q), t)) (gen_probe (Algebra.arity schema q)))
+    (fun ((db, q), probe) ->
+      (* the probe, and every naive answer, which covers Certain verdicts *)
+      let tuples = probe :: Relation.to_list (Naive.run db q) in
+      List.for_all
+        (fun t -> Classify.classify_exact db q t = Oracle.classify_exact db q t)
+        tuples)
+
+let prop_aggregate =
+  QCheck2.Test.make ~count:300
+    ~name:"Aggregate ranges = frozen per-world Eval.run"
+    ~print:print_instance
+    Gen.(pair gen_db (gen_query ~dom:false))
+    (fun (db, q) ->
+      let outcome f = match f () with r -> Ok r | exception e -> Error e in
+      let k = Algebra.arity schema q in
+      outcome (fun () -> Aggregate.count_range db q)
+      = outcome (fun () -> Oracle.count_range db q)
+      && List.for_all
+           (fun col ->
+             List.for_all
+               (fun op ->
+                 outcome (fun () -> Aggregate.range db q ~col op)
+                 = outcome (fun () -> Oracle.range db q ~col op))
+               [ Aggregate.Sum; Aggregate.Min; Aggregate.Max ])
+           (List.init k Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* c-tables                                                            *)
@@ -373,6 +513,96 @@ let test_invariant_subplan () =
     [ Valuation.of_list [ (0, Value.Int 3); (1, Value.Int 5) ];
       Valuation.of_list [ (0, Value.Int 4); (1, Value.Int 2) ] ]
 
+(* ------------------------------------------------------------------ *)
+(* relevance                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* nulls only in S and T, which [q] = R never reads: the RA front end
+   values none of them, so it is exact in one world (its charge is the
+   naive run plus one world) under a budget the unrestricted oracle
+   overruns *)
+let test_unread_nulls () =
+  let db =
+    Database.of_list schema
+      [ ("R", [ tup [ i 0; i 1 ]; tup [ i 2; i 1 ] ]);
+        ("S", [ tup [ nu 0; nu 1 ]; tup [ nu 2; i 0 ] ]);
+        ("T", [ tup [ nu 3 ] ]) ]
+  in
+  let q = Algebra.Rel "R" in
+  let one_world =
+    let g = Guard.create () in
+    ignore (Eval.run ~pool:None ~guard:g db q);
+    Guard.tuples_used g
+  in
+  let budget = 2 * one_world in
+  (match
+     charged ~budget (fun g -> Certainty.cert_with_fallback ~pool:None ~guard:g db q)
+   with
+   | Ok (Certainty.Exact r), used ->
+     check_rel "exact answer is R" (Database.relation db "R") r;
+     Alcotest.(check int) "naive run plus one world" budget used
+   | _ -> Alcotest.fail "the library should answer exactly");
+  match
+    charged ~budget (fun g -> Oracle.cert_with_fallback ~pool:None ~guard:g db q)
+  with
+  | Ok (Certainty.Approximate _), used ->
+    Alcotest.(check bool) "the unrestricted oracle overran" true (used > budget)
+  | _ -> Alcotest.fail "the unrestricted oracle should degrade"
+
+(* R = {(⊥0, ⊥1)} has no constant for the nulls to meet on, so only
+   the world that sends both to one fresh constant refutes ⊥0 ∈
+   π₀R − π₁R: the certain answer is empty *)
+let test_fresh_collision () =
+  let db = Database.of_list schema [ ("R", [ tup [ nu 0; nu 1 ] ]) ] in
+  let q =
+    Algebra.Diff (Algebra.Project ([ 0 ], Rel "R"), Algebra.Project ([ 1 ], Rel "R"))
+  in
+  let want =
+    Oracle.brute_force_cert
+      ~run:(fun w -> Eval.run ~planner:false ~pool:None w q)
+      ~query_consts:[] db
+  in
+  check_rel "brute force" (Relation.empty 1) want;
+  check_rel "cert_with_nulls_ra" want (Certainty.cert_with_nulls_ra ~pool:None db q)
+
+let unary = Schema.of_list [ ("R", [ "a" ]); ("T", [ "t" ]) ]
+
+(* T emptied by hand, the restriction [relevant] must not make *)
+let without_t db = Database.set_relation db "T" (Relation.empty 1)
+
+(* ∀x R(x) ranges over adom(D), T included: with R = {1, ⊥0} and
+   T = {2} it is false in the world ⊥0 ↦ 1 and so not certain, but with
+   T emptied it holds in every world.  The FO front end must keep T. *)
+let test_fo_unrestricted () =
+  let db = Database.of_list unary [ ("R", [ tup [ i 1 ]; tup [ nu 0 ] ]); ("T", [ tup [ i 2 ] ]) ] in
+  let phi = Incdb_logic.Fo.(Forall ("x", Atom ("R", [ Var "x" ]))) in
+  let full = Oracle.cert_with_nulls_fo ~pool:None db phi in
+  check_rel "equals the full-database oracle" full
+    (Certainty.cert_with_nulls_fo ~pool:None db phi);
+  check_rel "cert∩ too" full (Certainty.cert_intersection_fo ~pool:None db phi);
+  Alcotest.(check bool) "restriction would change the answer" false
+    (Relation.equal full (Oracle.cert_with_nulls_fo ~pool:None (without_t db) phi))
+
+(* Dom₁ − R ranges over adom(D): with R = {1} and T = {2} its certain
+   answer is {2}, and {} with T emptied.  [relevant] keeps every
+   relation of a Dom query, and the RA front ends agree with the full
+   oracle. *)
+let test_dom_unrestricted () =
+  let db = Database.of_list unary [ ("R", [ tup [ i 1 ] ]); ("T", [ tup [ i 2 ] ]) ] in
+  let q = Algebra.Diff (Algebra.Dom 1, Algebra.Rel "R") in
+  Alcotest.(check bool) "relevant keeps the database" true
+    (Certainty.relevant db q == db);
+  let full = Oracle.cert_with_nulls_ra ~pool:None db q in
+  check_rel "certain answer {2}" (Relation.of_list 1 [ tup [ i 2 ] ]) full;
+  check_rel "cert_with_nulls_ra" full (Certainty.cert_with_nulls_ra ~pool:None db q);
+  check_rel "cert_intersection_ra" full
+    (Certainty.cert_intersection_ra ~pool:None db q);
+  (match Certainty.cert_with_fallback ~pool:None db q with
+   | Certainty.Exact r -> check_rel "cert_with_fallback" full r
+   | Certainty.Approximate _ -> Alcotest.fail "no guard, so exact");
+  Alcotest.(check bool) "restriction would change the answer" false
+    (Relation.equal full (Oracle.cert_with_nulls_ra ~pool:None (without_t db) q))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -382,5 +612,16 @@ let () =
           Alcotest.test_case "invariant subplan stored once" `Quick
             test_invariant_subplan ] );
       qsuite "differential"
-        [ prop_ra_differential; prop_fo_differential; prop_budget_labels ];
+        [ prop_ra_differential; prop_fo_differential; prop_budget_labels;
+          prop_brute_force; prop_classify; prop_aggregate ];
+      ( "brute-force",
+        [ Alcotest.test_case "nulls that meet only each other" `Quick
+            test_fresh_collision ] );
+      ( "relevance",
+        [ Alcotest.test_case "nulls only in unread relations" `Quick
+            test_unread_nulls;
+          Alcotest.test_case "FO keeps the full database" `Quick
+            test_fo_unrestricted;
+          Alcotest.test_case "Dom keeps the full database" `Quick
+            test_dom_unrestricted ] );
       qsuite "ctables" [ prop_normalize; prop_ceval ] ]
