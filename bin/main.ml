@@ -855,7 +855,8 @@ let serve_cmd =
      flushes each outcome line as soon as it resolves, so piped consumers
      see progress in real time while the reader keeps submitting.
      Updates apply synchronously in the reader, so later lines on the
-     stream see their effects before they are submitted. *)
+     stream see their effects before they are submitted, and each query
+     is answered on the database as of its own line. *)
   let serve_stdin schema ~all_rels st ~cache_cap svc =
     let cache = Option.map (fun cap -> Cache.create ~capacity:cap ()) cache_cap in
     (* after a recovery the cached versions must not collide with any a
@@ -998,14 +999,18 @@ let serve_cmd =
                  push (Some (`Text (Printf.sprintf "[%d] parse error: %s" n msg)))
                | q ->
                  let t0 = Unix.gettimeofday () in
+                 (* the database as of this line: this reader applies
+                    every update itself, so none can land between this
+                    read and the version snapshot [Service.submit]
+                    takes, and a later line's update never shows in
+                    this answer *)
+                 let db = view_db st in
                  let ticket =
                    Service.submit svc
                      ?cache:(cert_cache_binding cache q)
-                     ~fallback:(fun ~pool ->
-                       Scheme_pm.certain_sub ~pool (view_db st) q)
+                     ~fallback:(fun ~pool -> Scheme_pm.certain_sub ~pool db q)
                      (fun ~pool ~guard ->
-                       Certainty.cert_with_nulls_ra ~pool ~guard (view_db st)
-                         q)
+                       Certainty.cert_with_nulls_ra ~pool ~guard db q)
                  in
                  push (Some (`Outcome (n, ticket, t0)))
            end

@@ -6,19 +6,69 @@ end)
 
 (* the constants of D, then the query's constants that D lacks, in the
    query's order *)
-let pattern_consts ~query_consts db =
-  let db_consts = Database.consts db in
+let pattern_consts ~query_consts db_consts =
   let in_db = Const_set.of_list db_consts in
   db_consts @ List.filter (fun c -> not (Const_set.mem c in_db)) query_consts
 
-let canonical_valuations ~consts db =
-  Valuation.canonical_seq ~nulls:(Database.nulls db) ~consts
+(* the least constant above [c], if [c] has one *)
+let successor = function
+  | Value.Int n when n < max_int -> Some (Value.Int (n + 1))
+  | Value.Int _ -> Some (Value.Str "")
+  | Value.Str s -> Some (Value.Str (s ^ "\000"))
+  | Value.Gen _ -> None
+
+(* Canonical valuations send a null to a pattern constant or to a fresh
+   [Gen] constant, and [Gen] sorts after every [Int] and [Str] (fresh
+   classes in order of first use): so no null ever lies below the least
+   constant or strictly between two of them, and fresh nulls never fall
+   in decreasing order.  An order atom that reads a null tells those
+   worlds apart.  So for such a query the pattern constants gain
+   witnesses in every gap of the sorted constants: below the least,
+   between two neighbours wherever a value fits, above the greatest.
+   Each gap gets [per_gap] of them (as many as fit), one per null, so
+   every order of the nulls among themselves and the constants is some
+   canonical world up to an order-preserving renaming, which no query
+   answer can tell apart. *)
+let gap_witnesses ~per_gap consts =
+  let sorted =
+    List.sort_uniq Value.compare_const
+      (List.filter (function Value.Gen _ -> false | _ -> true) consts)
+  in
+  (* up to [per_gap] constants above [c], all below [bound] if any *)
+  let rec above c bound n =
+    match successor c with
+    | Some w
+      when n > 0
+           && Option.fold ~none:true
+                ~some:(fun b -> Value.compare_const w b < 0)
+                bound ->
+      w :: above w bound (n - 1)
+    | _ -> []
+  in
+  let rec gaps = function
+    | a :: (b :: _ as rest) -> above a (Some b) per_gap @ gaps rest
+    | [ greatest ] -> above greatest None per_gap
+    | [] -> []
+  in
+  let below =
+    match sorted with
+    | Value.Int n :: _ ->
+      List.filter_map
+        (fun i -> if n - i < n then Some (Value.Int (n - i)) else None)
+        (List.init per_gap succ)
+    | _ ->
+      (* no integer: every integer sorts below every string *)
+      List.init per_gap (fun i -> Value.Int i)
+  in
+  below @ gaps sorted
 
 let canonical_world_seq ~query_consts db =
+  let nulls, db_consts = Database.nulls_and_consts db in
   let builder = Valuation.builder db in
   Seq.map
     (fun v -> (v, Valuation.world builder v))
-    (canonical_valuations ~consts:(pattern_consts ~query_consts db) db)
+    (Valuation.canonical_seq ~nulls
+       ~consts:(pattern_consts ~query_consts db_consts))
 
 let canonical_worlds ~query_consts db =
   List.of_seq (canonical_world_seq ~query_consts db)
@@ -36,13 +86,22 @@ let world_stop stop acc =
   Guard.inject "world.chunk";
   stop acc
 
-let cert_with_nulls ?(pool = Pool.auto ()) ?guard ~run ~query_consts db =
-  (* one builder serves every world of this call, the naive one included:
-     only null-bearing tuples are valued per world *)
+(* cert⊥ by canonical enumeration of the worlds of [db], which holds a
+   null; [gaps] adds the {!gap_witnesses} to the pattern constants *)
+let enumerate ?(pool = Pool.auto ()) ?guard ~gaps ~run ~query_consts db =
+  (* one pass finds the nulls and constants; one builder serves every
+     world of this call, the naive one included: only null-bearing
+     tuples are valued per world *)
+  let nulls, db_consts = Database.nulls_and_consts db in
+  let consts = pattern_consts ~query_consts db_consts in
+  let consts =
+    if gaps then consts @ gap_witnesses ~per_gap:(List.length nulls) consts
+    else consts
+  in
   let builder = Valuation.builder db in
   (* candidates: cert⊥(Q,D) ⊆ Qnaive(D) because a bijective valuation
      into fresh constants is itself a valuation *)
-  let candidates = Naive.run_with ~builder ~run db in
+  let candidates = Naive.run_with ~builder ~nulls ~run db in
   (* stream the canonical worlds instead of materialising them: the
      candidate set only shrinks, so once it is empty no further world
      needs to be built, and each chunk's worlds are evaluated in
@@ -56,7 +115,17 @@ let cert_with_nulls ?(pool = Pool.auto ()) ?guard ~run ~query_consts db =
         (fun t -> Relation.mem (Valuation.apply_tuple v t) answer)
         cand)
     ~stop:(world_stop Relation.is_empty) ~init:candidates
-    (canonical_valuations ~consts:(pattern_consts ~query_consts db) db)
+    (Valuation.canonical_seq ~nulls ~consts)
+
+(* On a complete database the only possible world is D itself, so
+   cert⊥(Q, D) = Q(D): one run, no naive pass, no enumeration. *)
+let one_run ?guard ~run db =
+  Guard.check guard;
+  run db
+
+let cert_with_nulls ?pool ?guard ~run ~query_consts db =
+  if Database.is_complete db then one_run ?guard ~run db
+  else enumerate ?pool ?guard ~gaps:false ~run ~query_consts db
 
 let keep_complete r = Relation.filter Tuple.is_complete r
 
@@ -69,7 +138,8 @@ let cert_intersection_direct ?(pool = Pool.auto ()) ?guard ~run ~query_consts
      intersection: by genericity some possible world avoids that
      constant altogether.  So restrict each world's answer to tuples
      over the constants of D and of the query before intersecting. *)
-  let consts = pattern_consts ~query_consts db in
+  let nulls, db_consts = Database.nulls_and_consts db in
+  let consts = pattern_consts ~query_consts db_consts in
   let allowed = Const_set.of_list consts in
   let over_allowed =
     Array.for_all (function
@@ -81,30 +151,43 @@ let cert_intersection_direct ?(pool = Pool.auto ()) ?guard ~run ~query_consts
     Relation.filter over_allowed
       (keep_complete (run (Valuation.world builder v)))
   in
-  match canonical_valuations ~consts db () with
+  match Valuation.canonical_seq ~nulls ~consts () with
   | Seq.Nil -> assert false (* there is always at least the empty valuation *)
   | Seq.Cons (first, rest) ->
     Pool.fold_seq_chunked pool ~chunk:world_chunk ?guard ~map:world_answer
       ~combine:Relation.inter ~stop:(world_stop Relation.is_empty)
       ~init:(world_answer first) rest
 
-(* [q] is type-checked and compiled once per call, and every world runs
-   that one plan.  Its subplans over complete relations give the same
+(* [q] compiled once per call, and its runner: applied to a world of
+   the database [q] was compiled for, it runs that one plan.  With
+   [unchanged], subplans over the relations it names give the same
    result in every world, so they are evaluated in the first world only
-   (the naive one) and charged again from the kept count in the others:
-   answers and guard charges are those of [Eval.run] per world. *)
-let ra_run ?(pool = Pool.auto ()) ?guard db q =
-  let schema = Database.schema db in
-  ignore (Algebra.arity schema q);
+   and charged again from the kept count in the others: answers and
+   guard charges are those of [Eval.run] per world. *)
+let plan_runner ?(pool = Pool.auto ()) ?guard ?unchanged db q =
   let plan =
-    Plan.hoist_invariant
-      ~unchanged:(fun name -> Relation.is_complete (Database.relation db name))
-      (Planner.compile ~rel_arity:(Schema.arity schema) q)
+    Planner.compile ~rel_arity:(Schema.arity (Database.schema db)) q
+  in
+  let plan =
+    match unchanged with
+    | None -> plan
+    | Some unchanged -> Plan.hoist_invariant ~unchanged plan
   in
   fun world ->
     Plan.run_set ~pool ?guard ~base:(Database.relation world)
       ~dom1:(lazy (Eval.domain_relation ~extra_consts:[] world))
       plan
+
+let complete_relation facts name =
+  not (Array.exists Fun.id (Nullable.columns facts (Algebra.Rel name)))
+
+(* the analysis of [db], once [q] is known to be well typed on it *)
+let analyse db q =
+  ignore (Algebra.arity (Database.schema db) q);
+  Nullable.of_database db
+
+let ra_run ?pool ?guard db q =
+  plan_runner ?pool ?guard ~unchanged:(complete_relation (analyse db q)) db q
 
 (* By genericity only the relations [q] reads, with their nulls and
    constants, decide its answer, so the others are emptied and take no
@@ -119,15 +202,41 @@ let relevant db q =
         if List.mem name reads then r else Relation.empty (Relation.arity r))
       db
 
+type route = One_run | Naive_exact | Enumerate
+
+let route_of facts q =
+  if not (Nullable.has_null facts) then One_run
+  else if Classes.naive_exact facts q then Naive_exact
+  else Enumerate
+
+(* cert⊥ of [q] on [read] = [relevant db q], by the cheapest route the
+   nullable-column analysis of [read] allows.  [run ~unchanged] is [q]
+   in one world of [read]; the enumeration passes the relations no
+   valuation changes, so the runner may keep their subplans. *)
+let cert_on_read ?pool ?guard ~run read q =
+  let facts = analyse read q in
+  match route_of facts q with
+  | One_run -> one_run ?guard ~run:(run ~unchanged:None) read
+  | Naive_exact ->
+    Guard.check guard;
+    Naive.run_with ~run:(run ~unchanged:None) read
+  | Enumerate ->
+    enumerate ?pool ?guard
+      ~gaps:(Nullable.order_sees_null facts q)
+      ~run:(run ~unchanged:(Some (complete_relation facts)))
+      ~query_consts:(Algebra.consts q) read
+
+let route db q =
+  let read = relevant db q in
+  route_of (analyse read q) q
+
 let cert_with_nulls_ra ?pool ?guard db q =
-  let db = relevant db q in
-  cert_with_nulls ?pool ?guard ~run:(ra_run ?pool ?guard db q)
-    ~query_consts:(Algebra.consts q) db
+  let read = relevant db q in
+  cert_on_read ?pool ?guard read q ~run:(fun ~unchanged ->
+      plan_runner ?pool ?guard ?unchanged read q)
 
 let cert_intersection_ra ?pool ?guard db q =
-  let db = relevant db q in
-  cert_intersection ?pool ?guard ~run:(ra_run ?pool ?guard db q)
-    ~query_consts:(Algebra.consts q) db
+  keep_complete (cert_with_nulls_ra ?pool ?guard db q)
 
 let fo_run phi db =
   Incdb_logic.Semantics.certain_true Incdb_logic.Semantics.all_bool db phi
@@ -149,13 +258,11 @@ let answer_relation = function Exact r | Approximate r -> r
 
 let cert_with_fallback ?(planner = true) ?(pool = Pool.auto ()) ?guard db q =
   let read = relevant db q in
-  let run =
-    if planner then ra_run ~pool ?guard read q
+  let run ~unchanged =
+    if planner then plan_runner ~pool ?guard ?unchanged read q
     else fun w -> Eval.run ~planner ~pool ?guard w q
   in
-  match
-    cert_with_nulls ~pool ?guard ~run ~query_consts:(Algebra.consts q) read
-  with
+  match cert_on_read ~pool ?guard ~run read q with
   | exact -> Exact exact
   | exception Guard.Interrupt _ ->
     (* graceful degradation: the polynomial scheme of Figure 2(b) is a

@@ -16,6 +16,9 @@
     constants mentioned by the query (they take part in collision
     patterns).  The answer may contain nulls of [D] (Definition 3.9).
 
+    On a complete [D] the only possible world is [D] itself, so the
+    answer is one [run D]: no naive pass and no enumeration.
+
     Every world, the naive one included, comes from one
     {!Valuation.builder}: null-free relations are shared and only the
     null-bearing tuples are valued.
@@ -93,18 +96,37 @@ val ra_run :
   Database.t ->
   Relation.t
 
+(** How the RA front ends decide cert⊥ on [read = relevant db q], from
+    the {!Nullable} analysis of [read] (DESIGN.md §4):
+    - [One_run]: [read] holds no null, so cert⊥ = Q(read), one run;
+    - [Naive_exact]: {!Classes.naive_exact} holds, so cert⊥ is the
+      naive answer, one run in the naive world and no other;
+    - [Enumerate]: the canonical worlds of [read], streamed.  When an
+      order atom of [q] can read a null ({!Nullable.order_sees_null}),
+      the pattern constants gain a witness for every gap between them:
+      one below the least, one between two neighbours wherever a value
+      fits, one above the greatest. *)
+type route = One_run | Naive_exact | Enumerate
+
+(** [route db q] is the route the RA front ends take for [q] on [db].
+    @raise Algebra.Type_error if [q] is ill typed. *)
+val route : Database.t -> Algebra.t -> route
+
 (** Relational algebra front ends.  [pool] is used both for the world
     enumeration and inside each world's query evaluation (nested
     parallel sections degrade to sequential on worker domains);
     [guard] likewise governs both the enumeration (chunk boundaries)
     and each per-world evaluation (materialisation points).
 
-    They enumerate the worlds of [relevant db q]: only the nulls and
-    constants of the relations the query reads take part.  The query
-    is compiled once per call ({!ra_run}) and every world runs that
-    plan.  Answers are cert⊥(Q, D) of the full database; the tuples
-    charged to [guard] are exactly those of one {!Eval.run} per world
-    of [relevant db q] (DESIGN.md §4). *)
+    They decide cert⊥ on [relevant db q]: only the nulls and constants
+    of the relations the query reads take part, and {!route} picks the
+    way.  The query is compiled once per call and every world runs that
+    plan.  Answers are cert⊥(Q, D) of the full database.  The tuples
+    charged to [guard] are those of one {!Eval.run} on
+    [relevant db q] on the [One_run] route, of one {!Eval.run} in its
+    naive world on the [Naive_exact] route, and of one {!Eval.run} per
+    world of the naive pass and the enumeration on the [Enumerate]
+    route (DESIGN.md §4). *)
 
 val cert_with_nulls_ra :
   ?pool:Pool.t option -> ?guard:Guard.t -> Database.t -> Algebra.t ->
@@ -154,9 +176,9 @@ val answer_relation : answer -> Relation.t
     fragment (queries without [Is_null]/[Is_const] tests — the
     Theorem 4.7 hypothesis).  With no guard (or a guard that never
     fires) the result is [Exact (cert⊥(Q, D))], bit-identical to
-    {!cert_with_nulls_ra}.  The exact leg enumerates the worlds of
-    [relevant db q], with or without [planner]; the Q⁺ fallback runs
-    on the full [db].
+    {!cert_with_nulls_ra}.  The exact leg takes the {!route} of
+    [q] on [relevant db q], with or without [planner]; the Q⁺ fallback
+    runs on the full [db].
 
     @raise Scheme_pm.Unsupported if the fallback is needed but [q]
     mentions [Dom]/[Anti_unify_join] (outside the translatable

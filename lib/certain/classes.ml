@@ -19,6 +19,31 @@ let rec is_positive = function
 
 let is_ucq = is_positive
 
+(* every atom but an equality reads only constants: a valuation keeps
+   constants, so it cannot change the atom's truth *)
+let rec condition_reads_constants nullable = function
+  | Condition.True | Condition.False | Condition.Eq _ -> true
+  | Condition.Neq (x, y) | Condition.Lt (x, y) | Condition.Le (x, y) ->
+    Nullable.null_free nullable x && Nullable.null_free nullable y
+  | Condition.Is_const i | Condition.Is_null i -> not nullable.(i)
+  | Condition.And (a, b) | Condition.Or (a, b) ->
+    condition_reads_constants nullable a && condition_reads_constants nullable b
+
+let rec naive_exact facts q =
+  match q with
+  | Algebra.Rel _ -> true
+  | Algebra.Lit (_, ts) -> List.for_all Tuple.is_complete ts
+  | Algebra.Select (cond, q1) ->
+    naive_exact facts q1
+    && condition_reads_constants (Nullable.columns facts q1) cond
+  | Algebra.Project (_, q1) -> naive_exact facts q1
+  | Algebra.Product (q1, q2) | Algebra.Union (q1, q2)
+  | Algebra.Inter (q1, q2) ->
+    naive_exact facts q1 && naive_exact facts q2
+  | Algebra.Diff _ | Algebra.Division _ | Algebra.Anti_unify_join _
+  | Algebra.Dom _ ->
+    false
+
 let rec is_pos_forall_g = function
   | Algebra.Rel _ | Algebra.Lit _ -> true
   | Algebra.Select (cond, q) ->

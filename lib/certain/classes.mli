@@ -17,6 +17,18 @@ val is_positive : Algebra.t -> bool
 (** [is_ucq q] — synonym of {!is_positive}. *)
 val is_ucq : Algebra.t -> bool
 
+(** [naive_exact facts q] — the instance-aware positive class: [q] is
+    built from σ, π, ×, ∪, ∩, base relations and null-free literals, and
+    every [≠], [<], [≤], [null]/[const] atom of its selections reads
+    only columns that {!Nullable.columns} marks null-free on the
+    database of [facts].  On that database naive evaluation is exact:
+    cert⊥(Q, D) = Qnaive(D) (Theorem 4.4).  The homomorphism argument
+    still holds, because those atoms read only constants and every
+    valuation keeps constants; and with injective fresh constants the
+    naive world answers exactly the naive tuples.  It accepts every
+    {!is_positive} query whose literals are complete. *)
+val naive_exact : Nullable.t -> Algebra.t -> bool
+
 (** [is_pos_forall_g q] — positive RA + division with positive divisor. *)
 val is_pos_forall_g : Algebra.t -> bool
 

@@ -1,8 +1,8 @@
-let run_with ?builder ~run db =
+let run_with ?builder ?nulls ~run db =
   let builder =
     match builder with Some b -> b | None -> Valuation.builder db
   in
-  let nulls = Database.nulls db in
+  let nulls = match nulls with Some ns -> ns | None -> Database.nulls db in
   let v = Valuation.bijective_fresh ~nulls in
   let answers = run (Valuation.world builder v) in
   Relation.map ~arity:(Relation.arity answers)

@@ -16,11 +16,12 @@
 
 (** [run_with ?builder ~run db] applies naive evaluation to the abstract
     query executor [run] (any function evaluating a query on a
-    database).  [builder], when given, must be
-    [Valuation.builder db]; callers that value [db] again pass the one
-    they hold. *)
+    database).  [builder] and [nulls], when given, must be
+    [Valuation.builder db] and [Database.nulls db]; callers that value
+    [db] again pass the ones they hold. *)
 val run_with :
   ?builder:Valuation.builder ->
+  ?nulls:int list ->
   run:(Database.t -> Relation.t) ->
   Database.t ->
   Relation.t

@@ -47,8 +47,14 @@ and maybe_of schema q =
 let translate_plus = plus_of
 let translate_maybe = maybe_of
 
+(* the translations guard every comparison with null tests; on the
+   database at hand those on null-free columns are constant, and
+   dropping them gives the planner back its hash equi-joins *)
+let run ?planner ?pool db q =
+  Eval.run ?planner ?pool db (Nullable.prune_on db q)
+
 let certain_sub ?planner ?pool db q =
-  Eval.run ?planner ?pool db (translate_plus (Database.schema db) q)
+  run ?planner ?pool db (translate_plus (Database.schema db) q)
 
 let possible_sup ?planner ?pool db q =
-  Eval.run ?planner ?pool db (translate_maybe (Database.schema db) q)
+  run ?planner ?pool db (translate_maybe (Database.schema db) q)

@@ -34,10 +34,14 @@ val translate_maybe : Schema.t -> Algebra.t -> Algebra.t
     (default [true]) and [pool] are forwarded to {!Eval.run}: the
     physical planner turns the translation's anti-semijoins and
     equi-joins into hash operators, and the pool runs them
-    partition-parallel. *)
+    partition-parallel.  The translation's [null]/[const] tests on
+    columns that hold no null on [D] are pruned first
+    ({!Nullable.prune_on}): the answer is the same, and a guarded
+    equi-join is a hash join again. *)
 val certain_sub :
   ?planner:bool -> ?pool:Pool.t option -> Database.t -> Algebra.t -> Relation.t
 
-(** [possible_sup ?planner ?pool db q] evaluates Q? on [D]. *)
+(** [possible_sup ?planner ?pool db q] evaluates Q? on [D], pruned
+    like {!certain_sub}. *)
 val possible_sup :
   ?planner:bool -> ?pool:Pool.t option -> Database.t -> Algebra.t -> Relation.t

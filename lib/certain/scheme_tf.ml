@@ -51,12 +51,14 @@ let translate_t schema q = t_of schema (Classes.dedup_projections schema q)
 
 let translate_f schema q = f_of schema (Classes.dedup_projections schema q)
 
-let certain_sub ?planner ?pool db q =
-  let schema = Database.schema db in
+(* null tests on columns that hold no null on [db] are constant there,
+   so they are pruned before the plan is built *)
+let run ?planner ?pool db q translated =
   Eval.run ?planner ?pool ~extra_consts:(Algebra.consts q) db
-    (translate_t schema q)
+    (Nullable.prune_on db translated)
+
+let certain_sub ?planner ?pool db q =
+  run ?planner ?pool db q (translate_t (Database.schema db) q)
 
 let certainly_false ?planner ?pool db q =
-  let schema = Database.schema db in
-  Eval.run ?planner ?pool ~extra_consts:(Algebra.consts q) db
-    (translate_f schema q)
+  run ?planner ?pool db q (translate_f (Database.schema db) q)

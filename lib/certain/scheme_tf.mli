@@ -29,11 +29,14 @@ val translate_f : Schema.t -> Algebra.t -> Algebra.t
     constants of [q] included in [Dom]): a sound under-approximation of
     cert⊥(Q, D).  [planner] (default [true]) and [pool] are forwarded
     to {!Eval.run}; the planner's subplan memoization pays off here
-    because the translation duplicates subqueries. *)
+    because the translation duplicates subqueries.  Null tests on
+    columns that hold no null on [D] are pruned first
+    ({!Nullable.prune_on}); the answer is the same. *)
 val certain_sub :
   ?planner:bool -> ?pool:Pool.t option -> Database.t -> Algebra.t -> Relation.t
 
 (** [certainly_false ?planner ?pool db q] evaluates Qᶠ on [D]: tuples
-    that are not answers in any possible world. *)
+    that are not answers in any possible world, pruned like
+    {!certain_sub}. *)
 val certainly_false :
   ?planner:bool -> ?pool:Pool.t option -> Database.t -> Algebra.t -> Relation.t

@@ -62,23 +62,28 @@ let nulls db =
     db ();
   List.sort Int.compare !acc
 
-let consts db =
-  let module Cset = Set.Make (struct
-    type t = Value.const
+module Value_set = Set.Make (Value)
 
-    let compare = Value.compare_const
-  end) in
-  let set =
-    fold
-      (fun _ r acc ->
-        List.fold_left (fun s c -> Cset.add c s) acc (Relation.consts r))
-      db Cset.empty
-  in
-  Cset.elements set
-
+(* one set over every value: [Value.compare] sorts the constants first,
+   by [Value.compare_const], then the nulls by label *)
 let active_domain db =
-  List.map (fun c -> Value.Const c) (consts db)
-  @ List.map (fun n -> Value.Null n) (nulls db)
+  Value_set.elements
+    (fold
+       (fun _ r acc ->
+         Relation.fold
+           (fun t acc -> Array.fold_left (fun s v -> Value_set.add v s) acc t)
+           r acc)
+       db Value_set.empty)
+
+let nulls_and_consts db =
+  List.fold_right
+    (fun v (ns, cs) ->
+      match v with
+      | Value.Null n -> (n :: ns, cs)
+      | Value.Const c -> (ns, c :: cs))
+    (active_domain db) ([], [])
+
+let consts db = snd (nulls_and_consts db)
 
 let is_complete db = fold (fun _ r acc -> acc && Relation.is_complete r) db true
 

@@ -33,11 +33,17 @@ val map_relations : (string -> Relation.t -> Relation.t) -> t -> t
 
 val fold : (string -> Relation.t -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** Distinct null labels occurring anywhere in the database. *)
+(** Distinct null labels occurring anywhere in the database, in
+    increasing order. *)
 val nulls : t -> int list
 
-(** Distinct constants occurring anywhere in the database. *)
+(** Distinct constants occurring anywhere in the database, in
+    {!Value.compare_const} order. *)
 val consts : t -> Value.const list
+
+(** [nulls_and_consts db] is [(nulls db, consts db)], from one pass
+    over the tuples. *)
+val nulls_and_consts : t -> int list * Value.const list
 
 (** Active domain: all constants and nulls occurring in the database. *)
 val active_domain : t -> Value.t list

@@ -85,18 +85,13 @@ let unifiable t1 t2 =
   end
 
 let nulls t =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  Array.iter
-    (function
-      | Value.Null n ->
-        if not (Hashtbl.mem seen n) then begin
-          Hashtbl.add seen n ();
-          acc := n :: !acc
-        end
-      | Value.Const _ -> ())
-    t;
-  List.rev !acc
+  List.rev
+    (Array.fold_left
+       (fun acc v ->
+         match v with
+         | Value.Null n when not (List.mem n acc) -> n :: acc
+         | Value.Null _ | Value.Const _ -> acc)
+       [] t)
 
 let consts t =
   let acc = ref [] in

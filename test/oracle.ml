@@ -242,6 +242,10 @@ let cert_with_nulls_fo ?pool ?guard db phi =
       Incdb_logic.Semantics.certain_true Incdb_logic.Semantics.all_bool db phi)
     ~query_consts:(Incdb_logic.Fo.consts phi) db
 
+(* Q⁺ as translated, every null test kept *)
+let certain_sub ?(planner = true) ?(pool = Pool.auto ()) db q =
+  Eval.run ~planner ~pool db (Scheme_pm.translate_plus (Database.schema db) q)
+
 let cert_with_fallback ?(planner = true) ?(pool = Pool.auto ()) ?guard db q =
   match
     cert_with_nulls ~pool ?guard
@@ -250,7 +254,7 @@ let cert_with_fallback ?(planner = true) ?(pool = Pool.auto ()) ?guard db q =
   with
   | exact -> Certainty.Exact exact
   | exception Guard.Interrupt _ ->
-    Certainty.Approximate (Scheme_pm.certain_sub ~planner ~pool db q)
+    Certainty.Approximate (certain_sub ~planner ~pool db q)
 
 (* ------------------------------------------------------------------ *)
 (* Classify.classify_exact and Aggregate's world loop, one Eval.run    *)
@@ -380,18 +384,45 @@ let rec all_tuples k values =
       (fun v -> List.map (fun tail -> v :: tail) (all_tuples (k - 1) values))
       values
 
+(* [k] constants in every gap of the sorted [consts], as many as fit:
+   [k] below the least, up to [k] after each constant before the next,
+   [k] above the greatest *)
+let order_witnesses k consts =
+  let sorted = List.sort_uniq Value.compare_const consts in
+  let next = function
+    | Value.Int n -> Value.Int (n + 1)
+    | Value.Str s -> Value.Str (s ^ "\000")
+    | Value.Gen _ -> invalid_arg "order_witnesses"
+  in
+  let rec chain c n =
+    let w = next c in
+    if n = 0 || List.exists (Value.equal_const w) sorted then []
+    else w :: chain w (n - 1)
+  in
+  let below =
+    match sorted with
+    | Value.Int n :: _ -> List.init k (fun i -> Value.Int (n - 1 - i))
+    | _ -> List.init k (fun i -> Value.Int i)
+  in
+  below @ List.concat_map (fun c -> chain c k) sorted
+
 (* cert⊥(Q, D) from Definition 3.9, over the whole database: t̄ is
    certain iff v(t̄) ∈ Q(v(D)) for every valuation v.  By genericity it
    suffices to let each null range over the constants of D and of the
    query plus one fresh constant per null; every such valuation is
-   tried, not one per collision pattern.  Candidates are every tuple
-   over those constants of D and the query and the nulls of D.  [run]
-   is the query in one world. *)
-let brute_force_cert ~run ~query_consts db =
+   tried, not one per collision pattern.  A query that compares with
+   [<]/[≤] ([~order:true]) is not generic: it tells apart values by
+   where they fall between the constants, so each null ranges over the
+   constants and [order_witnesses], one per null in every gap, instead
+   (those above the greatest constant serve as the fresh ones).
+   Candidates are every tuple over the constants of D and the query and
+   the nulls of D.  [run] is the query in one world. *)
+let brute_force_cert ?(order = false) ~run ~query_consts db =
   let nulls = Database.nulls db in
   let consts = pattern_consts ~query_consts db in
   let fresh =
-    List.mapi (fun i _ -> Value.Str (Printf.sprintf "fresh%d" i)) nulls
+    if order then order_witnesses (List.length nulls) consts
+    else List.mapi (fun i _ -> Value.Str (Printf.sprintf "fresh%d" i)) nulls
   in
   assert (
     List.for_all (fun f -> not (List.exists (Value.equal_const f) consts)) fresh);
@@ -413,3 +444,21 @@ let brute_force_cert ~run ~query_consts db =
            (fun (v, answer) -> Relation.mem (Valuation.apply_tuple v t) answer)
            worlds)
        (List.map Tuple.of_list (all_tuples k values)))
+
+(* whether some selection of [q] compares with [<] or [≤] *)
+let rec has_order (q : Algebra.t) =
+  let rec in_condition = function
+    | Condition.Lt _ | Condition.Le _ -> true
+    | Condition.And (a, b) | Condition.Or (a, b) ->
+      in_condition a || in_condition b
+    | Condition.True | Condition.False | Condition.Is_const _ | Condition.Is_null _
+    | Condition.Eq _ | Condition.Neq _ ->
+      false
+  in
+  match q with
+  | Rel _ | Lit _ | Dom _ -> false
+  | Select (c, q1) -> in_condition c || has_order q1
+  | Project (_, q1) -> has_order q1
+  | Product (a, b) | Union (a, b) | Inter (a, b) | Diff (a, b) | Division (a, b)
+  | Anti_unify_join (a, b) ->
+    has_order a || has_order b

@@ -153,11 +153,27 @@ let read_line_fd fd =
   in
   go ()
 
-let spawn_listen ?(null_rate = "1") args =
+(* kill and reap [pid] if it is still running; a child some check
+   already reaped (or killed on purpose) is left alone *)
+let reap pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ ->
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid)
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ()
+
+(* [with_listen args f] starts `incdb serve --listen ...`, reads the
+   port off its banner and runs [f pid stdout_r port].  However [f]
+   ends, a failed check included, a server still running is killed and
+   reaped: it inherits the suite's stderr, so a server left behind
+   would hold the test run open instead of letting it report *)
+let with_listen ?(null_rate = "1") args f =
   let pid, stdin_w, stdout_r =
     spawn ([ "serve"; "--null-rate"; null_rate ] @ args)
   in
   Unix.close stdin_w;
+  Fun.protect ~finally:(fun () -> reap pid) @@ fun () ->
   let banner = read_line_fd stdout_r in
   let port =
     match String.rindex_opt banner ':' with
@@ -172,7 +188,7 @@ let spawn_listen ?(null_rate = "1") args =
   in
   Alcotest.(check bool) "banner announces the port" true
     (contains "listening on 127.0.0.1:" banner);
-  (pid, stdout_r, port)
+  f pid stdout_r port
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -183,7 +199,7 @@ let connect port =
 let send_fd fd s = ignore (Unix.write fd (Bytes.of_string s) 0 (String.length s))
 
 let test_listen_roundtrip () =
-  let pid, stdout_r, port = spawn_listen [ "--listen"; "127.0.0.1:0" ] in
+  with_listen [ "--listen"; "127.0.0.1:0" ] @@ fun pid stdout_r port ->
   let fd = connect port in
   send_fd fd "#priority high\n";
   Alcotest.(check string) "priority ack" "#ok priority high" (read_line_fd fd);
@@ -206,11 +222,10 @@ let test_listen_roundtrip () =
    queries hit the cache, #stats exposes the counters, and --datalog
    IDB relations are maintained incrementally *)
 let test_listen_updates_and_cache () =
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0"
+  with_listen ~null_rate:"0"
       [ "--listen"; "127.0.0.1:0"; "--scale"; "2"; "--seed"; "1"; "--datalog";
         "reach(x,y) :- Payments(x,y). reach(x,z) :- Payments(x,y), reach(y,z)." ]
-  in
+  @@ fun pid stdout_r port ->
   let fd = connect port in
   let ask n q expect =
     send_fd fd (q ^ "\n");
@@ -254,9 +269,8 @@ let test_listen_updates_and_cache () =
    query's relations: its cache entry survives an update to a relation
    the query does not read and goes stale on one it does *)
 let test_listen_degraded_deps () =
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0" [ "--listen"; "127.0.0.1:0"; "--budget"; "1" ]
-  in
+  with_listen ~null_rate:"0" [ "--listen"; "127.0.0.1:0"; "--budget"; "1" ]
+  @@ fun pid stdout_r port ->
   let fd = connect port in
   let ask n q expect =
     send_fd fd (q ^ "\n");
@@ -271,17 +285,6 @@ let test_listen_degraded_deps () =
     read_line_fd fd
   in
   let deterministic = Sys.getenv_opt "INCDB_FAULT" = None in
-  (* a failed check must not leave the server holding the suite's
-     stderr open *)
-  Fun.protect
-    ~finally:(fun () ->
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid)
-      | _ -> ()
-      | exception Unix.Unix_error _ -> ())
-  @@ fun () ->
   ask 1 "SELECT title FROM Orders" "degraded (3 tuples";
   ask 2 "insert Payments(o9,o9)" "ok updated Payments";
   ask 3 "SELECT title FROM Orders" "degraded (3 tuples";
@@ -303,9 +306,8 @@ let test_listen_degraded_deps () =
   Alcotest.(check int) "clean exit" 0 (wait_exit pid)
 
 let test_listen_no_cache () =
-  let pid, stdout_r, port =
-    spawn_listen [ "--listen"; "127.0.0.1:0"; "--no-cache" ]
-  in
+  with_listen [ "--listen"; "127.0.0.1:0"; "--no-cache" ]
+  @@ fun pid stdout_r port ->
   let fd = connect port in
   send_fd fd "#stats\n";
   (* pool scheduler counters may follow the cache part of the line
@@ -322,9 +324,8 @@ let test_listen_no_cache () =
   Alcotest.(check bool) "no cache summary" false (contains "-- cache:" rest)
 
 let test_listen_sigterm_drain () =
-  let pid, stdout_r, port =
-    spawn_listen [ "--listen"; "127.0.0.1:0"; "--drain-deadline"; "1" ]
-  in
+  with_listen [ "--listen"; "127.0.0.1:0"; "--drain-deadline"; "1" ]
+  @@ fun pid stdout_r port ->
   (* leave a connection open so the drain actually has a client to shut
      out, then deliver the signal *)
   let fd = connect port in
@@ -417,7 +418,7 @@ let run_serve ?(env = []) args input =
   let code = wait_exit pid in
   (code, out, err)
 
-(* argument tails: [spawn_listen] supplies "serve --null-rate" itself,
+(* argument tails: [with_listen] supplies "serve --null-rate" itself,
    [run_serve] wants the full vector *)
 let data_tail dir extra = [ "--data"; dir; "--no-cache" ] @ extra
 let serve_data dir extra =
@@ -428,12 +429,10 @@ let serve_data dir extra =
    a snapshot image plus a log tail *)
 let test_kill_after_acks () =
   let dir = fresh_data_dir () in
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0"
+  with_listen ~null_rate:"0"
       (data_tail dir
          [ "--listen"; "127.0.0.1:0"; "--fsync"; "never";
-           "--snapshot-every"; "10" ])
-  in
+           "--snapshot-every"; "10" ]) @@ fun pid stdout_r port ->
   let fd = connect port in
   let k = 25 in
   for i = 1 to k do
@@ -533,10 +532,9 @@ let test_datalog_recovery_differential () =
     [ "insert Payments(o1,o2)"; "insert Payments(o2,o7)";
       "insert Payments(o7,o8)"; "delete Payments(o2,o7)" ]
   in
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0"
+  with_listen ~null_rate:"0"
       (data_tail dir [ "--listen"; "127.0.0.1:0"; "--datalog"; program ])
-  in
+  @@ fun pid stdout_r port ->
   let fd = connect port in
   List.iteri
     (fun i u ->
@@ -676,11 +674,9 @@ let test_wal_fault_rejects () =
    invariant intact and the image is never torn *)
 let test_drain_during_snapshot () =
   let dir = fresh_data_dir () in
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0"
-      (data_tail dir [ "--listen"; "127.0.0.1:0" ])
-  in
-  (* no INCDB_FAULT here: spawn_listen inherits ours; install the slow
+  with_listen ~null_rate:"0"
+      (data_tail dir [ "--listen"; "127.0.0.1:0" ]) @@ fun pid stdout_r port ->
+  (* no INCDB_FAULT here: with_listen inherits ours; install the slow
      snapshot via a second connection's timing instead — the delay
      fault variant runs in CI where the env spans the whole suite *)
   let fd = connect port in
@@ -725,10 +721,8 @@ let test_drain_after_recovery () =
       "insert Customers(r1,rec)\n"
   in
   Alcotest.(check int) "seed storm clean" 0 code;
-  let pid, stdout_r, port =
-    spawn_listen ~null_rate:"0"
-      (data_tail dir [ "--listen"; "127.0.0.1:0" ])
-  in
+  with_listen ~null_rate:"0"
+      (data_tail dir [ "--listen"; "127.0.0.1:0" ]) @@ fun pid stdout_r port ->
   let fd = connect port in
   send_fd fd "#drain\n";
   Alcotest.(check string) "drain ack" "#ok draining" (read_line_fd fd);
@@ -748,6 +742,32 @@ let test_snapshot_without_data () =
   Alcotest.(check bool) ("structured error in: " ^ out) true
     (contains "#err snapshot: no durable --data directory" out)
 
+(* stdin mode answers each query on the database as of its own line:
+   the Orders row inserted on line [4] never shows in line [3]'s
+   answer, however the worker is scheduled *)
+let test_stdin_answers_as_of_line () =
+  for run = 1 to 5 do
+    let code, out, _ =
+      run_serve
+        [ "serve"; "--null-rate"; "0"; "--budget"; "1"; "--workers"; "1" ]
+        "SELECT title FROM Orders\n\
+         insert Payments(o9,o9)\n\
+         SELECT title FROM Orders\n\
+         #stats\n\
+         insert Orders(o9,t9,9)\n\
+         SELECT title FROM Orders\n"
+    in
+    Alcotest.(check int) "clean exit" 0 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: [3] answers 3 tuples: %s" run out)
+      true
+      (contains "[3] degraded (3 tuples" out);
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: [5] sees the insert: %s" run out)
+      true
+      (contains "[5] degraded (4 tuples" out)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* suite                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -758,7 +778,9 @@ let () =
         [ Alcotest.test_case "outcome lines + summary + exit 0" `Quick
             test_stdin_ok;
           Alcotest.test_case "failed query flips the exit code" `Quick
-            test_stdin_failed_exit ] );
+            test_stdin_failed_exit;
+          Alcotest.test_case "each query sees the database of its line" `Quick
+            test_stdin_answers_as_of_line ] );
       ( "listen",
         [ Alcotest.test_case "TCP round trip + #drain" `Quick
             test_listen_roundtrip;

@@ -3,10 +3,12 @@
    world-invariant subplans, hashed c-table dedup) against the frozen
    implementations in oracle.ml and its brute-force cert⊥.  Answers and
    ctuple lists (order included) must be identical to the oracle's on
-   the full database, on every pool.  The RA front ends enumerate only
-   the relations the query reads (Certainty.relevant), so their guard
-   charges and budget labels are those of the oracle run on that
-   restricted database. *)
+   the full database, on every pool.  The RA front ends decide cert⊥ on
+   the relations the query reads (Certainty.relevant).  On the
+   enumeration route their guard charges and budget labels are those of
+   the oracle run on that restricted database; on the two routes that
+   run the query once (a complete database, or naive evaluation
+   certified exact) they are those of that one run. *)
 
 open Incdb_relational
 open Incdb_certain
@@ -182,6 +184,31 @@ let same_answers ~what ~pool ~equal ?charges oracle fresh =
       what pool o_used n_used;
   true
 
+(* What a RA front end charges on [read] = [Certainty.relevant db q]:
+   the frozen world loop's charge on the enumeration route, one run of
+   [q] on [read] when it is complete, one run in its naive world when
+   naive evaluation is certified exact. *)
+let pinned ~planner ~pool read q guard =
+  let run w = Eval.run ~planner ~pool ~guard w q in
+  match Certainty.route read q with
+  | Certainty.Enumerate ->
+    Oracle.cert_with_nulls ~pool ~guard ~run ~query_consts:(Algebra.consts q)
+      read
+  | Certainty.One_run -> run read
+  | Certainty.Naive_exact -> Oracle.naive_run_with ~run read
+
+let pinned_fallback ~planner ~pool read q guard =
+  match pinned ~planner ~pool read q guard with
+  | r -> Certainty.Exact r
+  | exception Guard.Interrupt _ ->
+    Certainty.Approximate (Oracle.certain_sub ~planner ~pool read q)
+
+let check_rel_prop what want got =
+  Relation.equal want got
+  || QCheck2.Test.fail_reportf "%s: %s, want %s" what
+       (Format.asprintf "%a" Relation.pp got)
+       (Format.asprintf "%a" Relation.pp want)
+
 let equal_answer a b =
   match (a, b) with
   | Certainty.Exact a, Certainty.Exact b
@@ -214,12 +241,11 @@ let prop_ra_differential =
           let eval g w = Eval.run ~pool ~guard:g w q in
           rel "cert_with_nulls_ra"
             (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g db q)
-            ~charges:(fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
+            ~charges:(pinned ~planner:true ~pool read q)
             (fun g -> Certainty.cert_with_nulls_ra ~pool ~guard:g db q)
           && rel "cert_intersection_ra"
                (fun g -> Oracle.cert_intersection_ra ~pool ~guard:g db q)
-               ~charges:(fun g ->
-                 Oracle.cert_intersection_ra ~pool ~guard:g read q)
+               ~charges:(pinned ~planner:true ~pool read q)
                (fun g -> Certainty.cert_intersection_ra ~pool ~guard:g db q)
           && rel "cert_intersection_direct"
                (fun g ->
@@ -235,8 +261,7 @@ let prop_ra_differential =
                    ~equal:equal_answer
                    (fun g ->
                      Oracle.cert_with_fallback ~planner ~pool ~guard:g db q)
-                   ~charges:(fun g ->
-                     Oracle.cert_with_fallback ~planner ~pool ~guard:g read q)
+                   ~charges:(pinned_fallback ~planner ~pool read q)
                    (fun g ->
                      Certainty.cert_with_fallback ~planner ~pool ~guard:g db q))
                [ true; false ])
@@ -255,11 +280,12 @@ let prop_fo_differential =
             (fun g -> Certainty.cert_with_nulls_fo ~pool ~guard:g db phi))
         pools)
 
-(* A budget equal to the oracle's total charge on the relations the
+(* A budget equal to the pinned total charge on the relations the
    query reads lets it finish; one less interrupts it.  The library must
-   return or raise exactly as that oracle does at both budgets, so no
-   exact/degraded label moves but those the restriction earns.  An
-   answer it returns must still be the full-database oracle's. *)
+   return or raise exactly as the pinned run does at both budgets, so no
+   exact/degraded label moves but those the restriction and the routes
+   earn.  An answer it returns must still be the full-database
+   oracle's. *)
 let prop_budget_labels =
   QCheck2.Test.make ~count:300 ~name:"budget labels match the oracle"
     ~print:print_instance
@@ -270,9 +296,7 @@ let prop_budget_labels =
       let full_plus = Scheme_pm.certain_sub ~pool:None db q in
       List.for_all
         (fun (name, pool) ->
-          let _, total =
-            charged (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
-          in
+          let _, total = charged (pinned ~planner:true ~pool read q) in
           List.for_all
             (fun budget ->
               let check what ~equal oracle fresh =
@@ -280,8 +304,8 @@ let prop_budget_labels =
                 and n, _ = charged ~budget fresh in
                 if budget = total && Result.is_error o then
                   QCheck2.Test.fail_reportf
-                    "%s on %s: the oracle overran its own total %d" what name
-                    total;
+                    "%s on %s: the pinned run overran its own total %d" what
+                    name total;
                 if not (agree ~equal o n) then
                   QCheck2.Test.fail_reportf "%s on %s, budget %d: oracle %s, library %s"
                     what name budget
@@ -295,10 +319,10 @@ let prop_budget_labels =
                 | Error _ -> true
               in
               check "cert_with_nulls_ra" ~equal:Relation.equal
-                (fun g -> Oracle.cert_with_nulls_ra ~pool ~guard:g read q)
+                (pinned ~planner:true ~pool read q)
                 (fun g -> Certainty.cert_with_nulls_ra ~pool ~guard:g db q)
               && check "cert_with_fallback" ~equal:equal_answer
-                   (fun g -> Oracle.cert_with_fallback ~pool ~guard:g read q)
+                   (pinned_fallback ~planner:true ~pool read q)
                    (fun g -> Certainty.cert_with_fallback ~pool ~guard:g db q)
               && (full_answer
                     (fst
@@ -351,6 +375,182 @@ let prop_brute_force =
                   planner name)
             [ true; false ])
         pools)
+
+(* ------------------------------------------------------------------ *)
+(* routes: which columns can hold a null                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* constants with a gap between neighbours, where an order atom can
+   tell a null from each of them *)
+let gen_spread_const = Gen.map (fun n -> Value.Int (2 * n)) (Gen.int_range 0 2)
+
+(* ≤ 4 nulls, each relation with its own nullable columns, so that
+   null-free columns sit next to nullable ones *)
+let gen_db_columns : Database.t Gen.t =
+  let open Gen in
+  let gen_const = gen_spread_const in
+  let rel name =
+    let k = Schema.arity schema name in
+    let* nullable =
+      list_repeat k (frequency [ (2, return false); (1, return true) ])
+    in
+    let value nullable =
+      if nullable then
+        frequency
+          [ (2, map (fun c -> Value.Const c) gen_const);
+            (1, map Value.null (int_range 0 3)) ]
+      else map (fun c -> Value.Const c) gen_const
+    in
+    map
+      (fun ts -> (name, ts))
+      (list_size (int_range 0 3)
+         (map Tuple.of_list (flatten_l (List.map value nullable))))
+  in
+  map (Database.of_list schema) (flatten_l (List.map rel names))
+
+(* conditions over every atom the class can hold: =, ≠, <, ≤ and the
+   null/const tests *)
+let gen_order_condition k =
+  let open Gen in
+  let gen_const = gen_spread_const in
+  let col = int_range 0 (k - 1) in
+  let operand =
+    oneof
+      [ map (fun c -> Condition.Col c) col;
+        map (fun c -> Condition.Lit c) gen_const ]
+  in
+  let atom =
+    oneof
+      [ map2 (fun a b -> Condition.Eq (a, b)) operand operand;
+        map2 (fun a b -> Condition.Neq (a, b)) operand operand;
+        map2 (fun a b -> Condition.Lt (a, b)) operand operand;
+        map2 (fun a b -> Condition.Le (a, b)) operand operand;
+        map (fun c -> Condition.Is_null c) col;
+        map (fun c -> Condition.Is_const c) col ]
+  in
+  oneof
+    [ atom;
+      map2 (fun a b -> Condition.And (a, b)) atom atom;
+      map2 (fun a b -> Condition.Or (a, b)) atom atom ]
+
+(* positive RA: σ, π, ×, ∪, ∩ over R, S, T and complete literals *)
+let gen_positive_query : Algebra.t Gen.t =
+  let open Gen in
+  let open Algebra in
+  let leaf =
+    oneof
+      [ oneofl [ Rel "R"; Rel "S"; Rel "T" ];
+        map (fun c -> Lit (1, [ Tuple.of_list [ Value.Const c ] ])) gen_const ]
+  in
+  let arity q = Algebra.arity schema q in
+  let first q = if arity q = 1 then q else Project ([ 0 ], q) in
+  let rec build n =
+    if n <= 0 then leaf
+    else
+      let sub = build (n - 1) in
+      oneof
+        [ (let* q = sub in
+           let k = arity q in
+           if k = 0 then return q
+           else map (fun c -> Select (c, q)) (gen_order_condition k));
+          (let* q = sub in
+           let k = arity q in
+           if k = 0 then return q
+           else
+             map
+               (fun idxs -> Project (idxs, q))
+               (list_size (int_range 1 2) (int_range 0 (k - 1))));
+          (let* a = sub and* b = sub in
+           return (if arity a + arity b > 3 then a else Product (a, b)));
+          (let* a = sub and* b = sub in
+           return (Union (first a, first b)));
+          (let* a = sub and* b = sub in
+           return (Inter (first a, first b))) ]
+  in
+  sized_size (int_range 1 3) build
+
+let prop_routes =
+  QCheck2.Test.make ~count:500
+    ~name:"positive queries: routes follow the analysis, answers = brute force"
+    ~print:print_instance
+    Gen.(pair gen_db_columns gen_positive_query)
+    (fun (db, q) ->
+      let read = Certainty.relevant db q in
+      let facts = Nullable.of_database read in
+      (* the analysis is sound: a column it marks null-free holds no null
+         in the naive answer *)
+      let naive = Eval.run ~planner:false ~pool:None read q in
+      Array.iteri
+        (fun i nullable ->
+          let holds_null t = Value.is_null t.(i) in
+          if (not nullable) && Relation.exists holds_null naive then
+            QCheck2.Test.fail_reportf "column %d marked null-free holds a null" i)
+        (Nullable.columns facts q);
+      let want_route =
+        if Database.is_complete read then Certainty.One_run
+        else if Classes.naive_exact facts q then Certainty.Naive_exact
+        else Certainty.Enumerate
+      in
+      let route = Certainty.route db q in
+      if route <> want_route then
+        QCheck2.Test.fail_reportf "route differs from the analysis";
+      let want =
+        Oracle.brute_force_cert ~order:(Oracle.has_order q)
+          ~run:(fun w -> Eval.run ~planner:false ~pool:None w q)
+          ~query_consts:(Algebra.consts q) db
+      in
+      List.for_all
+        (fun (name, pool) ->
+          let what = "cert_with_nulls_ra on " ^ name in
+          (match
+             charged (fun g -> Certainty.cert_with_nulls_ra ~pool ~guard:g db q)
+           with
+           | Ok r, used ->
+             ignore (check_rel_prop what want r);
+             (* the two single-run routes charge their one pinned run *)
+             let _, one = charged (pinned ~planner:true ~pool read q) in
+             if route <> Certainty.Enumerate && used <> one then
+               QCheck2.Test.fail_reportf "%s: charged %d tuples, one run %d"
+                 what used one
+           | Error e, _ -> QCheck2.Test.fail_reportf "%s: %s" what e);
+          check_rel_prop "cert_intersection_ra"
+            (Relation.filter Tuple.is_complete want)
+            (Certainty.cert_intersection_ra ~pool db q)
+          && List.for_all
+               (fun planner ->
+                 match Certainty.cert_with_fallback ~planner ~pool db q with
+                 | Certainty.Exact r when Relation.equal r want -> true
+                 | Certainty.Exact _ | Certainty.Approximate _ ->
+                   QCheck2.Test.fail_reportf
+                     "cert_with_fallback (planner %b) on %s: not the exact \
+                      brute-force answer"
+                     planner name)
+               [ true; false ])
+        [ ("none", None); ("pool4", Some pool4) ])
+
+(* Pruning the null tests of the Figure-2 translations is an exact
+   equivalence on the database at hand, under the nested-loop
+   interpreter; the library's Q⁺ equals the unpruned one *)
+let prop_prune =
+  QCheck2.Test.make ~count:200
+    ~name:"pruned Q⁺/Q?/Qᵗ/Qᶠ = unpruned (nested loops)"
+    ~print:print_instance
+    Gen.(pair gen_db_columns (gen_query ~dom:false))
+    (fun (db, q) ->
+      let schema = Database.schema db in
+      let same what ~extra_consts t =
+        let run t = Eval.run ~planner:false ~pool:None ~extra_consts db t in
+        Relation.equal (run (Nullable.prune_on db t)) (run t)
+        || QCheck2.Test.fail_reportf "%s: pruned and unpruned differ" what
+      in
+      let consts = Algebra.consts q in
+      same "Q⁺" ~extra_consts:[] (Scheme_pm.translate_plus schema q)
+      && same "Q?" ~extra_consts:[] (Scheme_pm.translate_maybe schema q)
+      && same "Qᵗ" ~extra_consts:consts (Scheme_tf.translate_t schema q)
+      && same "Qᶠ" ~extra_consts:consts (Scheme_tf.translate_f schema q)
+      && Relation.equal
+           (Scheme_pm.certain_sub ~pool:None db q)
+           (Oracle.certain_sub ~planner:false ~pool:None db q))
 
 (* ------------------------------------------------------------------ *)
 (* Classify and Aggregate: the compiled runner per world                *)
@@ -517,9 +717,9 @@ let test_invariant_subplan () =
 (* relevance                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* nulls only in S and T, which [q] = R never reads: the RA front end
-   values none of them, so it is exact in one world (its charge is the
-   naive run plus one world) under a budget the unrestricted oracle
+(* nulls only in S and T, which [q] = R never reads: the relevant
+   database is complete, so the RA front end answers with one plan run
+   (no naive pass, no world) under a budget the unrestricted oracle
    overruns *)
 let test_unread_nulls () =
   let db =
@@ -534,13 +734,13 @@ let test_unread_nulls () =
     ignore (Eval.run ~pool:None ~guard:g db q);
     Guard.tuples_used g
   in
-  let budget = 2 * one_world in
+  let budget = one_world in
   (match
      charged ~budget (fun g -> Certainty.cert_with_fallback ~pool:None ~guard:g db q)
    with
    | Ok (Certainty.Exact r), used ->
      check_rel "exact answer is R" (Database.relation db "R") r;
-     Alcotest.(check int) "naive run plus one world" budget used
+     Alcotest.(check int) "one plan run" one_world used
    | _ -> Alcotest.fail "the library should answer exactly");
   match
     charged ~budget (fun g -> Oracle.cert_with_fallback ~pool:None ~guard:g db q)
@@ -566,6 +766,126 @@ let test_fresh_collision () =
   check_rel "cert_with_nulls_ra" want (Certainty.cert_with_nulls_ra ~pool:None db q)
 
 let unary = Schema.of_list [ ("R", [ "a" ]); ("T", [ "t" ]) ]
+
+(* R = {(⊥0)}: σ[a ≤ 3 ∨ 5 ≤ a](R) fails in the world ⊥0 ↦ 4, which
+   lies strictly between two constants; no world of the pattern
+   constants and fresh constants alone puts it there *)
+let test_order_gap () =
+  let db = Database.of_list unary [ ("R", [ tup [ nu 0 ] ]) ] in
+  let q =
+    Algebra.Select
+      ( Condition.Or
+          ( Condition.Le (Condition.Col 0, Condition.Lit (Value.Int 3)),
+            Condition.Le (Condition.Lit (Value.Int 5), Condition.Col 0) ),
+        Rel "R" )
+  in
+  let empty = Relation.empty 1 in
+  check_rel "brute force" empty
+    (Oracle.brute_force_cert ~order:true
+       ~run:(fun w -> Eval.run ~planner:false ~pool:None w q)
+       ~query_consts:(Algebra.consts q) db);
+  Alcotest.(check bool) "enumerated" true
+    (Certainty.route db q = Certainty.Enumerate);
+  check_rel "cert_with_nulls_ra" empty
+    (Certainty.cert_with_nulls_ra ~pool:None db q);
+  List.iter
+    (fun planner ->
+      match Certainty.cert_with_fallback ~planner ~pool:None db q with
+      | Certainty.Exact r -> check_rel "cert_with_fallback" empty r
+      | Certainty.Approximate _ -> Alcotest.fail "no guard, so exact")
+    [ true; false ];
+  check_rel "Q⁺" empty (Scheme_pm.certain_sub ~pool:None db q)
+
+(* R = {(⊥0, ⊥1)}: σ[a ≤ b ∨ 0 ≤ a ∨ 0 ≤ b](R) fails only where both
+   nulls fall below 0 in decreasing order, so that gap needs a witness
+   per null *)
+let test_order_gap_two_nulls () =
+  let db = Database.of_list schema [ ("R", [ tup [ nu 0; nu 1 ] ]) ] in
+  let a = Condition.Col 0 and b = Condition.Col 1 in
+  let zero = Condition.Lit (Value.Int 0) in
+  let le x y = Condition.Le (x, y) in
+  let q =
+    Algebra.Select
+      (Condition.Or (le a b, Condition.Or (le zero a, le zero b)), Rel "R")
+  in
+  let empty = Relation.empty 2 in
+  check_rel "brute force" empty
+    (Oracle.brute_force_cert ~order:true
+       ~run:(fun w -> Eval.run ~planner:false ~pool:None w q)
+       ~query_consts:(Algebra.consts q) db);
+  check_rel "cert_with_nulls_ra" empty
+    (Certainty.cert_with_nulls_ra ~pool:None db q)
+
+(* nulls only in column b of R: a positive query whose < reads column a
+   is naive-exact, one run in the naive world; the same < on column b
+   sees a null and enumerates *)
+let test_naive_exact_route () =
+  let db =
+    Database.of_list schema
+      [ ("R", [ tup [ i 1; nu 0 ]; tup [ i 2; i 3 ]; tup [ i 0; nu 1 ] ]) ]
+  in
+  let lt col c = Condition.Lt (Condition.Col col, Condition.Lit (Value.Int c)) in
+  let q = Algebra.Project ([ 1 ], Algebra.Select (lt 0 2, Rel "R")) in
+  Alcotest.(check bool) "naive-exact route" true
+    (Certainty.route db q = Certainty.Naive_exact);
+  let naive_run =
+    let g = Guard.create () in
+    ignore (Naive.run_with ~run:(fun w -> Eval.run ~pool:None ~guard:g w q) db);
+    Guard.tuples_used g
+  in
+  (match
+     charged (fun g -> Certainty.cert_with_fallback ~pool:None ~guard:g db q)
+   with
+   | Ok (Certainty.Exact r), used ->
+     check_rel "the naive answer"
+       (Relation.of_list 1 [ tup [ nu 0 ]; tup [ nu 1 ] ])
+       r;
+     Alcotest.(check int) "one naive run" naive_run used
+   | _ -> Alcotest.fail "exact without a budget");
+  let q' = Algebra.Project ([ 0 ], Algebra.Select (lt 1 2, Rel "R")) in
+  Alcotest.(check bool) "< on a nullable column enumerates" true
+    (Certainty.route db q' = Certainty.Enumerate);
+  check_rel "and answers the brute force"
+    (Oracle.brute_force_cert ~order:true
+       ~run:(fun w -> Eval.run ~planner:false ~pool:None w q')
+       ~query_consts:(Algebra.consts q') db)
+    (Certainty.cert_with_nulls_ra ~pool:None db q')
+
+(* On complete data the Q? leg of a NOT IN keeps no null test, so its
+   equi-join is planned as a hash join *)
+let test_pruned_hash_join () =
+  let db =
+    Database.of_list schema
+      [ ("R", [ tup [ i 1; i 2 ]; tup [ i 2; i 3 ] ]);
+        ("S", [ tup [ i 2; i 0 ] ]) ]
+  in
+  (* π₀R − π₀(σ[0 = 1](π₀R × π₀S)): R.a NOT IN S.b *)
+  let first r = Algebra.Project ([ 0 ], Rel r) in
+  let q =
+    Algebra.Diff
+      ( first "R",
+        Algebra.Project
+          ( [ 0 ],
+            Algebra.Select
+              (Condition.eq_col 0 1, Algebra.Product (first "R", first "S")) ) )
+  in
+  let hash_joins t =
+    let p =
+      Plan.to_string (Planner.compile ~rel_arity:(Schema.arity schema) t)
+    in
+    let n = String.length "⋈H" in
+    let rec go i =
+      i + n <= String.length p && (String.sub p i n = "⋈H" || go (i + 1))
+    in
+    go 0
+  in
+  let plus = Scheme_pm.translate_plus schema q in
+  Alcotest.(check bool) "unpruned: a guarded product" false (hash_joins plus);
+  Alcotest.(check bool) "pruned: a hash join" true
+    (hash_joins (Nullable.prune_on db plus));
+  check_rel "same answer"
+    (Oracle.certain_sub ~planner:false ~pool:None db q)
+    (Scheme_pm.certain_sub ~pool:None db q)
 
 (* T emptied by hand, the restriction [relevant] must not make *)
 let without_t db = Database.set_relation db "T" (Relation.empty 1)
@@ -616,7 +936,17 @@ let () =
           prop_brute_force; prop_classify; prop_aggregate ];
       ( "brute-force",
         [ Alcotest.test_case "nulls that meet only each other" `Quick
-            test_fresh_collision ] );
+            test_fresh_collision;
+          Alcotest.test_case "a null between two constants" `Quick
+            test_order_gap;
+          Alcotest.test_case "two nulls in one gap" `Quick
+            test_order_gap_two_nulls ] );
+      qsuite "routes" [ prop_routes; prop_prune ];
+      ( "route-cases",
+        [ Alcotest.test_case "naive-exact when < reads a null-free column" `Quick
+            test_naive_exact_route;
+          Alcotest.test_case "pruned NOT IN is a hash join" `Quick
+            test_pruned_hash_join ] );
       ( "relevance",
         [ Alcotest.test_case "nulls only in unread relations" `Quick
             test_unread_nulls;
